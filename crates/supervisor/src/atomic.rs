@@ -3,6 +3,9 @@
 //! Every file the harness writes goes through [`atomic_write`] /
 //! [`atomic_write_with`]: the bytes land in a same-directory temp file,
 //! the file is fsynced, and the temp file is renamed over the target.
+//! Streamed writes reach the temp file through one fixed-capacity buffer
+//! owned by this module, so callers format field by field without paying
+//! a syscall per field, and never buffer the staging file themselves.
 //! POSIX rename is atomic within a filesystem, so a reader (or a resumed
 //! run) sees either the old complete file or the new complete file —
 //! never a truncated one, no matter when the process is killed. After the
@@ -25,7 +28,7 @@
 
 use crate::failpoint::{ambient_storage, Storage, StorageOps};
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -99,6 +102,12 @@ impl AtomicWriteError {
     }
 }
 
+/// Capacity of the buffer between a streamed writer and its staging
+/// file: a CSV export's per-field writes reach the file as one syscall
+/// per 64 KiB, and one buffer per in-flight write is noise in peak
+/// memory.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Maximum attempts per retryable stage (first try included).
 const MAX_ATTEMPTS: u32 = 4;
 /// Backoff before retry `n` (n = 1, 2, 3), in milliseconds. Interrupted
@@ -157,7 +166,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// ambient [`Storage`]. See [`atomic_write_with_in`].
 pub fn atomic_write_with<F>(path: &Path, write: F) -> io::Result<()>
 where
-    F: FnOnce(&mut fs::File) -> io::Result<()>,
+    F: FnOnce(&mut dyn Write) -> io::Result<()>,
 {
     atomic_write_with_in(&ambient_storage(), path, write)
 }
@@ -170,10 +179,13 @@ pub fn atomic_write_in(storage: &Storage, path: &Path, bytes: &[u8]) -> io::Resu
 
 /// Atomically replace `path` with whatever `write` produces.
 ///
-/// The closure receives the staging [`fs::File`]; on success the file is
-/// fsynced and renamed over `path`, and the parent directory is fsynced
-/// so the rename survives power loss. On any pre-rename error the
-/// staging file is removed and `path` is untouched. Staging-file
+/// The closure receives a writer over the staging file behind one 64 KiB
+/// buffer, which is flushed inside the [`StorageOps::write`] stage: a
+/// flush error is a [`WriteStage::Write`] failure, and torn-write faults
+/// and the fsync see every byte. On success the file is fsynced and
+/// renamed over `path`, and the parent directory is fsynced so the
+/// rename survives power loss. On any pre-rename error the staging file
+/// is removed and `path` is untouched. Staging-file
 /// creation, the fsyncs, and the rename are retried with bounded backoff
 /// on transient failures (EINTR, ENOSPC); the caller's closure runs at
 /// most once. A write that still fails returns an [`io::Error`] wrapping
@@ -186,7 +198,7 @@ pub fn atomic_write_in(storage: &Storage, path: &Path, bytes: &[u8]) -> io::Resu
 /// deterministically.
 pub fn atomic_write_with_in<F>(storage: &Storage, path: &Path, write: F) -> io::Result<()>
 where
-    F: FnOnce(&mut fs::File) -> io::Result<()>,
+    F: FnOnce(&mut dyn Write) -> io::Result<()>,
 {
     let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
         io::Error::new(
@@ -212,7 +224,13 @@ where
         let mut f = created.map_err(|e| structured(WriteStage::Create, attempts, e))?;
         storage
             .write(path, &mut f, &mut |f| {
-                (write.take().expect("writer runs at most once"))(f)
+                let mut buffered = BufWriter::with_capacity(WRITE_BUFFER_BYTES, f);
+                let written = (write.take().expect("writer runs at most once"))(&mut buffered)
+                    .and_then(|()| buffered.flush());
+                // After a failure the staging file is discarded: drop the
+                // unflushed tail rather than let `BufWriter`'s drop write it.
+                let _ = buffered.into_parts();
+                written
             })
             .map_err(|e| structured(WriteStage::Write, 1, e))?;
         let (synced, attempts) = with_retry(|| storage.sync_file(path, &f));
@@ -341,6 +359,65 @@ mod tests {
         })
         .expect("streamed write");
         assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Thousands of small formatted writes totalling several buffer
+    /// capacities: the shape of a CSV export.
+    fn many_small_rows(w: &mut dyn Write) -> io::Result<()> {
+        for i in 0..20_000u32 {
+            writeln!(w, "{i},{},{:.3}", i * 7, f64::from(i) / 3.0)?;
+        }
+        Ok(())
+    }
+
+    fn many_small_rows_bytes() -> Vec<u8> {
+        let mut expected = Vec::new();
+        many_small_rows(&mut expected).unwrap();
+        assert!(expected.len() > 4 * WRITE_BUFFER_BYTES);
+        expected
+    }
+
+    #[test]
+    fn small_writes_spanning_many_buffers_land_byte_identical() {
+        let dir = scratch("buffered");
+        let path = dir.join("rows.csv");
+        atomic_write_with(&path, many_small_rows).expect("buffered write");
+        assert_eq!(fs::read(&path).unwrap(), many_small_rows_bytes());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_write_cuts_the_flushed_file_at_keep_bytes() {
+        use crate::failpoint::{Storage, StorageFaultPlan};
+        let dir = scratch("torn-buffered");
+        let path = dir.join("rows.csv");
+        // The truncation runs when the Write stage returns; the buffer's
+        // last bytes must already be in the file by then, or they land
+        // after the cut and the file is longer than `keep_bytes`.
+        let plan = StorageFaultPlan::from_json_str(
+            r#"{ "rules": [ { "op": "write", "kind": "torn_write", "keep_bytes": 1000 } ] }"#,
+        )
+        .unwrap();
+        atomic_write_with_in(&Storage::faulty_soft(plan), &path, many_small_rows)
+            .expect("a torn write reports success");
+        assert_eq!(fs::read(&path).unwrap(), &many_small_rows_bytes()[..1000]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn writer_failing_after_several_buffers_leaves_target_intact() {
+        let dir = scratch("fail-buffered");
+        let path = dir.join("rows.csv");
+        atomic_write(&path, b"original").expect("seed file");
+        let err = atomic_write_with(&path, |w| {
+            many_small_rows(w)?;
+            Err(io::Error::other("injected failure"))
+        })
+        .unwrap_err();
+        assert_eq!(structured(&err).stage, WriteStage::Write);
+        assert_eq!(fs::read(&path).unwrap(), b"original");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "staging file left");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -51,6 +51,11 @@ pub const GROUP_ROWS: usize = 4096;
 
 const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8 + 4 + 4 + 8 + 4 + 8 + 4 + 8;
 const FOOTER_LEN: usize = 8 + 8 + 8;
+/// Bytes a paired row takes in a group when it carries no TCP snapshots:
+/// join keys 12, player columns 82, CDN columns 58, snapshot count 4.
+/// No row takes fewer, so it bounds the rows a file of a given length
+/// can hold.
+const MIN_ROW_BYTES: u64 = 12 + 82 + 58 + 4;
 
 /// FNV-1a offset basis (matches `streamlab_supervisor::fnv1a64`).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -574,8 +579,7 @@ pub fn write_segment(
     );
 
     let mut payload_fnv = FNV_OFFSET;
-    atomic_write_with_in(storage, path, |f| {
-        let mut w = io::BufWriter::new(f);
+    atomic_write_with_in(storage, path, |w| {
         w.write_all(&header)?;
         payload_fnv = FNV_OFFSET;
         for g in 0..groups {
@@ -598,8 +602,7 @@ pub fn write_segment(
         footer.extend_from_slice(&payload_fnv.to_le_bytes());
         footer.extend_from_slice(&(rows as u64).to_le_bytes());
         footer.extend_from_slice(&SEGMENT_TAIL);
-        w.write_all(&footer)?;
-        w.flush()
+        w.write_all(&footer)
     })?;
 
     Ok(SegmentMeta {
@@ -668,6 +671,9 @@ pub struct SegmentReader {
     running_fnv: u64,
     groups_read: u32,
     rows_read: u64,
+    /// Group bytes between the read position and the footer; every group
+    /// length read from the file must fit in it.
+    unread: u64,
 }
 
 impl SegmentReader {
@@ -693,6 +699,13 @@ impl SegmentReader {
         if foot_rows != header.rows {
             return Err(bad("segment header/footer row counts disagree"));
         }
+        let unread = total - (HEADER_LEN + FOOTER_LEN) as u64;
+        if header.rows > unread / MIN_ROW_BYTES {
+            return Err(bad(format!(
+                "segment claims {} rows but holds {unread} group bytes",
+                header.rows
+            )));
+        }
         file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
         Ok(SegmentReader {
             file: BufReader::new(file),
@@ -701,6 +714,7 @@ impl SegmentReader {
             running_fnv: FNV_OFFSET,
             groups_read: 0,
             rows_read: 0,
+            unread,
         })
     }
 
@@ -718,13 +732,23 @@ impl SegmentReader {
             return Ok(None);
         }
         let mut head = [0u8; 8];
+        let room = self
+            .unread
+            .checked_sub(head.len() as u64)
+            .ok_or_else(|| bad("row group header runs into the segment footer"))?;
         self.file.read_exact(&mut head)?;
-        let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(head[..4].try_into().unwrap());
         let rows = u32::from_le_bytes(head[4..].try_into().unwrap()) as usize;
         if rows == 0 || rows > GROUP_ROWS {
             return Err(bad("row group has invalid row count"));
         }
-        let mut body = vec![0u8; len];
+        if u64::from(len) > room {
+            return Err(bad(format!(
+                "row group length {len} runs past the segment footer ({room} bytes left)"
+            )));
+        }
+        self.unread = room - u64::from(len);
+        let mut body = vec![0u8; len as usize];
         self.file.read_exact(&mut body)?;
         self.running_fnv = fnv_extend(self.running_fnv, &head);
         self.running_fnv = fnv_extend(self.running_fnv, &body);
@@ -929,6 +953,44 @@ mod tests {
         raw.truncate(raw.len() - 4);
         std::fs::write(&path, &raw).unwrap();
         assert!(SegmentReader::open(&path).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn min_row_bytes_is_the_size_of_a_row_without_tcp_snapshots() {
+        let (p, c) = (player(0, 0), cdn(0, 0));
+        assert!(c.tcp.is_empty());
+        assert_eq!(encode_group(&[p], &[c]).len() as u64, MIN_ROW_BYTES);
+    }
+
+    #[test]
+    fn hostile_length_fields_are_rejected_before_allocating() {
+        let dir = std::env::temp_dir().join(format!("slseg-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (p, c) = sorted_run(5, 6);
+        let path = dir.join("seg-h.bin");
+        write_segment(&Storage::real(), &path, 0, 0, &p, &c).unwrap();
+        let sealed = std::fs::read(&path).unwrap();
+        let read_error = |raw: &[u8]| {
+            std::fs::write(&path, raw).unwrap();
+            read_segment(&path).map(|_| ()).unwrap_err().kind()
+        };
+
+        // A group length far past the end of the file.
+        let mut raw = sealed.clone();
+        raw[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(read_error(&raw), io::ErrorKind::InvalidData);
+
+        // A row count the file cannot hold, in a header whose fingerprint
+        // was recomputed to match and a footer that agrees.
+        let mut raw = sealed;
+        let rows = (1u64 << 40).to_le_bytes();
+        raw[24..32].copy_from_slice(&rows);
+        let foot = raw.len() - FOOTER_LEN;
+        raw[foot + 8..foot + 16].copy_from_slice(&rows);
+        let fnv = fnv1a64(&raw[..HEADER_LEN - 8]);
+        raw[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.to_le_bytes());
+        assert_eq!(read_error(&raw), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
     }
 
