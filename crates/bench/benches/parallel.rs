@@ -1,4 +1,4 @@
-//! Sequential vs shard-parallel engine wall time, plus the telemetry
+//! Engine wall time at one thread and several, plus the telemetry
 //! assembly hot path.
 //!
 //! The contract under test elsewhere (tests/determinism.rs) is that
@@ -420,7 +420,7 @@ fn bench_assemble(
     group.bench_with_input(BenchmarkId::new("assemble", total), &total, |b, _| {
         b.iter_batched(
             synth_sink,
-            |sink| black_box(Dataset::assemble(sink).expect("assemble")),
+            |sink| black_box(Dataset::join(sink).expect("assemble")),
             BatchSize::LargeInput,
         )
     });
@@ -445,7 +445,7 @@ fn bench_assemble(
                 || synth_spilled_sink(&dir),
                 |sink| {
                     let mut chunks = 0usize;
-                    for s in SessionStream::new(sink) {
+                    for s in SessionStream::new(vec![sink]) {
                         chunks += s.expect("stream yields").chunks.len();
                     }
                     black_box(chunks)

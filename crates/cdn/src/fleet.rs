@@ -542,13 +542,14 @@ impl FleetShard {
 }
 
 /// Mutable access to servers plus same-PoP membership — the interface the
-/// session step drives, implemented by both the whole [`CdnFleet`]
-/// (sequential engine) and one [`FleetShard`] (sharded engine).
+/// session step drives, implemented by one [`FleetShard`] (the engine's
+/// event loops) and by the whole [`CdnFleet`] (the one-global-queue
+/// reference the engine is tested against).
 ///
 /// Failover never leaves the session's PoP, and both implementations
 /// expose a PoP's members in the same ascending global-index order, so
-/// retry/failover decisions are bit-identical in both engines — that is
-/// the fault layer's thread-invariance argument.
+/// retry/failover decisions are bit-identical whichever pool serves the
+/// step — that is the fault layer's thread-invariance argument.
 pub trait ServerPool {
     /// Mutable server by global fleet index.
     fn pool_server_mut(&mut self, global_idx: usize) -> &mut CdnServer;

@@ -246,14 +246,15 @@ impl Value {
         out
     }
 
-    /// Parse JSON text.
+    /// Parse JSON text. Arrays and objects may nest at most 128 levels
+    /// deep; deeper input is an error.
     pub fn parse_json(text: &str) -> Result<Value, crate::Error> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(crate::Error::msg(format!(
@@ -377,6 +378,12 @@ fn write_string(out: &mut String, s: &str) {
 
 // --- parser ---
 
+/// How deep arrays and objects may nest in parsed JSON. The parser
+/// recurses once per level, so without a bound a hostile document (a
+/// request body of nothing but `[`) overflows the stack and aborts the
+/// process. The deepest JSON this workspace writes or ships is 5 levels.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -419,7 +426,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, crate::Error> {
+    /// Parse one value nested inside `depth` arrays or objects.
+    fn value(&mut self, depth: usize) -> Result<Value, crate::Error> {
+        if matches!(self.peek(), Some(b'[' | b'{')) && depth == MAX_JSON_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_JSON_DEPTH} levels"
+            )));
+        }
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
             Some(b'n') => {
@@ -454,7 +467,7 @@ impl<'a> Parser<'a> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -480,7 +493,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.eat(b':', "expected ':'")?;
                     self.skip_ws();
-                    let val = self.value()?;
+                    let val = self.value(depth + 1)?;
                     m.insert(key, val);
                     self.skip_ws();
                     match self.peek() {
@@ -656,6 +669,20 @@ mod tests {
         assert!(Value::parse_json("1 2").is_err());
         assert!(Value::parse_json("{").is_err());
         assert!(Value::parse_json("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| r#"{"a":"#.repeat(depth) + "1" + &"}".repeat(depth);
+        for nested in [arrays as fn(usize) -> String, objects] {
+            assert!(Value::parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+            let err = Value::parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+            assert!(err.to_string().contains("nest deeper than 128"), "{err}");
+        }
+        // Deep enough to overflow the stack of an unbounded parser.
+        let err = Value::parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("nest deeper than 128"), "{err}");
     }
 
     #[test]

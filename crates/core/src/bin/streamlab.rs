@@ -27,11 +27,12 @@
 //!                                        directory, skipping completed
 //!                                        seeds; config comes from its
 //!                                        manifest)
-//!          --threads N                  (default: 1 = sequential engine;
-//!                                        >1 shards the run per server —
-//!                                        per PoP under failure faults —
-//!                                        with work stealing; output is
-//!                                        identical at any thread count)
+//!          --threads N                  (default: 1; worker threads for
+//!                                        the engine, which runs one event
+//!                                        loop per server — per PoP under
+//!                                        failure faults — with work
+//!                                        stealing; output is identical
+//!                                        at any thread count)
 //!          --shard-deadline SECS        (watchdog: cancel a shard that
 //!                                        makes no progress for SECS wall
 //!                                        seconds and keep the rest)

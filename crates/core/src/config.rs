@@ -25,7 +25,7 @@ pub enum Scale {
 /// Out-of-core telemetry: when set, each shard's `TelemetrySink` seals a
 /// sorted columnar segment into `dir` and resets whenever its arenas reach
 /// `threshold` rows, so peak RSS stays flat in chunk volume and
-/// `Dataset::assemble` streams a k-way merge over the segments instead of
+/// `Dataset::join_runs` streams a k-way merge over the segments instead of
 /// joining in RAM. Inert (`None`) by default; output is byte-identical
 /// either way at any thread count.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,14 +77,14 @@ pub struct SimulationConfig {
     /// layer. Loaded from a JSON file via the CLI's `--faults` flag or
     /// set programmatically.
     pub faults: FaultScenario,
-    /// Worker threads for the event loop. `1` runs the sequential
-    /// reference engine; `>1` runs one event loop per fleet shard —
-    /// per *server* wherever the fault scenario cannot reject requests
-    /// (no failover possible there), per PoP where it can — across this
-    /// many workers with work stealing, so idle workers drain the tail
-    /// of a skewed PoP. Output is bit-identical at every thread count
+    /// Worker threads for the event loops. The engine runs one event
+    /// loop per fleet shard — per *server* wherever the fault scenario
+    /// cannot reject requests (no failover possible there), per PoP
+    /// where it can — across this many workers (`0` and `1` both mean
+    /// one) with work stealing, so idle workers drain the tail of a
+    /// skewed PoP. Output is bit-identical at every thread count
     /// (sessions never touch servers outside their shard, and results
-    /// merge in canonical shard order), so this is purely a wall-clock
+    /// join in canonical shard order), so this is purely a wall-clock
     /// knob.
     pub threads: usize,
     /// Shard watchdog deadline, wall-clock milliseconds; `0` disables

@@ -2,21 +2,17 @@
 //! in time order over the CDN fleet, producing the joined telemetry
 //! dataset.
 //!
-//! Two engines share the per-session state machine:
-//!
-//! * **Sequential** (`threads == 1`): one global [`EventQueue`] over every
-//!   session — the reference implementation.
-//! * **Sharded** (`threads > 1`): the fleet is split into
-//!   [`FleetShard`]s — one **per server** wherever the active fault
-//!   scenario cannot make requests fail (so no session can ever fail
-//!   over off its server), falling back to one per PoP where it can —
-//!   sessions are partitioned by the shard owning their assigned server,
-//!   and one independent event loop runs per shard across a
-//!   work-stealing thread pool ([`crate::scheduler::WorkQueue`]).
-//!   Because a session only ever touches servers inside its own shard
-//!   and the telemetry join canonicalizes by session id, the merged
-//!   output is **bit-identical** to the sequential engine at any thread
-//!   count. See DESIGN.md for the full argument.
+//! One engine runs at every `threads` value. The fleet is split into
+//! [`FleetShard`]s — one **per server** wherever the active fault scenario
+//! cannot make requests fail (so no session can ever fail over off its
+//! server), falling back to one per PoP where it can — sessions are
+//! partitioned by the shard owning their assigned server, and one
+//! independent event loop runs per shard across a work-stealing pool of
+//! `threads` workers ([`crate::scheduler::WorkQueue`]). Because a session
+//! only ever touches servers inside its own shard and the telemetry join
+//! canonicalizes by session id, the output is **bit-identical** at any
+//! thread count — and to one event loop over the whole fleet, which the
+//! tests keep as their oracle. See DESIGN.md §9 for the full argument.
 
 use crate::config::SimulationConfig;
 use crate::scheduler::{effective_workers, StealEvent, WorkQueue};
@@ -25,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use streamlab_cdn::{CdnFleet, FleetShard, PrefetchPolicy};
+use streamlab_cdn::{CdnFleet, FleetShard, PrefetchPolicy, ServerPool};
 use streamlab_obs::{
     canonicalize, Meta, MetricsRecorder, NoopSubscriber, ProgressCell, RunMetrics, RunProfile,
     SchedulerCounters, ShardMerge, ShardProfile, ShardStalled, SimMetrics, SimSpan, Subscriber,
@@ -458,9 +454,20 @@ impl Simulation {
         obs: Option<ObsOptions>,
         streaming: bool,
     ) -> Result<InnerOutput, SimError> {
+        let cfg = &self.cfg;
+        // Harness faults: shard jobs covering these PoPs/servers panic at
+        // start (or wedge, for the stall variants), at any thread count.
+        let harness = HarnessFaults::from_scenario(&cfg.faults);
+        if harness.wants_stall() && cfg.shard_deadline_ms == 0 {
+            return Err(SimError::Config(
+                "stall faults wedge shard workers forever unless a watchdog can cancel them; \
+                 set shard_deadline_ms (CLI: --shard-deadline)"
+                    .into(),
+            ));
+        }
         // Out-of-core telemetry: resolved once up front so a bad spill
         // directory fails the run before any simulation work happens.
-        let spill = match &self.cfg.spill {
+        let spill = match &cfg.spill {
             None => None,
             Some(sc) => {
                 let dir = PathBuf::from(&sc.dir);
@@ -475,99 +482,25 @@ impl Simulation {
             }
         };
         let spill = spill.as_ref();
-        let cfg = &self.cfg;
-        let seed = cfg.seed;
         let setup_started = Instant::now();
-
-        // --- world generation ---
-        let mut cat_rng = RngStream::new(seed, "catalog");
-        let catalog = Catalog::generate(&cfg.catalog, &mut cat_rng);
-        let mut pop_rng = RngStream::new(seed, "population");
-        let population = Population::generate(&cfg.population, &mut pop_rng);
-        // Traffic varies by day; the world (catalog/population/fleet) does
-        // not — the §4.2.1 recurrence analysis re-observes the same
-        // deployment on successive days.
-        let specs = match specs_override {
-            Some(specs) => {
-                for s in &specs {
-                    if s.video.raw() as usize >= catalog.len() {
-                        return Err(SimError::InvalidTrace(format!(
-                            "{} watches {} but the catalog has {} videos",
-                            s.id,
-                            s.video,
-                            catalog.len()
-                        )));
-                    }
-                    if s.client.prefix.raw() as usize >= population.prefixes().len() {
-                        return Err(SimError::InvalidTrace(format!(
-                            "{} comes from {} but the population has {} prefixes",
-                            s.id,
-                            s.client.prefix,
-                            population.prefixes().len()
-                        )));
-                    }
-                }
-                specs
-            }
-            None => {
-                let mut sess_rng = RngStream::new(seed, &format!("sessions-day{}", cfg.day));
-                SessionGenerator::new(&catalog, &population).generate(&cfg.traffic, &mut sess_rng)
-            }
-        };
-
-        let mut fleet = CdnFleet::new(cfg.fleet.clone(), seed);
-        fleet.warm_parallel(&catalog, cfg.threads.max(1));
-        fleet.install_faults(&cfg.faults);
-        // Harness faults: shard jobs covering these PoPs/servers panic at
-        // start (or wedge, for the stall variants). Only meaningful for
-        // the sharded engine; the sequential engine has no shard workers
-        // to isolate and ignores them.
-        let harness = HarnessFaults::from_scenario(&cfg.faults);
-        if cfg.threads > 1 && harness.wants_stall() && cfg.shard_deadline_ms == 0 {
-            return Err(SimError::Config(
-                "stall faults wedge shard workers forever unless a watchdog can cancel them; \
-                 set shard_deadline_ms (CLI: --shard-deadline)"
-                    .into(),
-            ));
-        }
+        let World {
+            catalog,
+            population,
+            mut fleet,
+            runtimes,
+        } = World::build(cfg, specs_override)?;
         let coarse = coarse_pop_plan(&fleet, &cfg.faults, &harness);
-
-        // --- per-session runtimes ---
-        let session_master = RngStream::new(seed, &format!("session-streams-day{}", cfg.day));
-        let runtimes = build_runtimes(
-            specs,
-            cfg,
-            &session_master,
-            &catalog,
-            &population,
-            &fleet,
-            cfg.threads.max(1),
-        );
 
         let setup_ms = setup_started.elapsed().as_secs_f64() * 1.0e3;
         let loop_started = Instant::now();
 
-        // --- the event loop: one event per chunk request ---
-        // Four paths: {sequential, sharded} × {instrumented, noop}. The
-        // noop paths drive the same generic engines with
-        // [`NoopSubscriber`], which monomorphizes the probes away.
-        let (sink, recorder, shard_profiles, loop_stats, shard_errors, engine_wall) = match obs {
-            Some(o) if cfg.threads <= 1 => {
-                let mut rec = MetricsRecorder::with_options(o.trace, o.spans);
-                let (sink, stats) =
-                    run_sequential(&mut fleet, runtimes, &catalog, &population, spill, &mut rec);
-                rec.add_events_processed(stats.events);
-                (
-                    sink,
-                    Some(rec),
-                    Vec::new(),
-                    stats,
-                    Vec::new(),
-                    EngineWall::default(),
-                )
-            }
+        // --- the event loops: one per shard, one event per chunk request ---
+        // Two paths: instrumented and noop. The noop path drives the same
+        // generic engine with [`NoopSubscriber`], which monomorphizes the
+        // probes away.
+        let (sinks, recorder, shard_profiles, loop_stats, shard_errors, engine_wall) = match obs {
             Some(o) => {
-                let (sink, runs, errors, wall) = run_sharded(
+                let (sinks, runs, errors, wall) = run_sharded(
                     cfg.threads,
                     &mut fleet,
                     runtimes,
@@ -580,9 +513,9 @@ impl Simulation {
                     spill,
                     || MetricsRecorder::with_options(o.trace, o.spans),
                 );
-                // Fold shard recorders in canonical (shard_index) order —
-                // the commutative merges make SimMetrics byte-identical
-                // to the sequential engine's regardless.
+                // Fold shard recorders in canonical (shard_index) order, so
+                // the metrics block and the event trace are byte-identical
+                // at any thread count.
                 let mut rec = MetricsRecorder::with_options(o.trace, o.spans);
                 let mut profiles = Vec::with_capacity(runs.len());
                 let mut total = EngineStats::default();
@@ -605,7 +538,7 @@ impl Simulation {
                 }
                 rec.add_events_processed(total.events);
                 // Engine-topology events land after the per-shard streams;
-                // they never touch SimMetrics (threads-invariance).
+                // they never touch SimMetrics.
                 for p in &profiles {
                     rec.on_shard_merge(
                         &Meta::fleet(SimTime::ZERO),
@@ -637,28 +570,12 @@ impl Simulation {
                         );
                     }
                 }
-                (sink, Some(rec), profiles, total, errors, wall)
-            }
-            None if cfg.threads <= 1 => {
-                let (sink, stats) = run_sequential(
-                    &mut fleet,
-                    runtimes,
-                    &catalog,
-                    &population,
-                    spill,
-                    &mut NoopSubscriber,
-                );
-                (
-                    sink,
-                    None,
-                    Vec::new(),
-                    stats,
-                    Vec::new(),
-                    EngineWall::default(),
-                )
+                (sinks, Some(rec), profiles, total, errors, wall)
             }
             None => {
-                let (sink, runs, errors, _) = run_sharded(
+                // Unobserved runs report no profile, so the per-shard
+                // stats and wall observations are not needed.
+                let (sinks, _, errors, _) = run_sharded(
                     cfg.threads,
                     &mut fleet,
                     runtimes,
@@ -671,12 +588,14 @@ impl Simulation {
                     spill,
                     || NoopSubscriber,
                 );
-                let mut total = EngineStats::default();
-                for run in &runs {
-                    total.events += run.stats.events;
-                    total.peak_queue = total.peak_queue.max(run.stats.peak_queue);
-                }
-                (sink, None, Vec::new(), total, errors, EngineWall::default())
+                (
+                    sinks,
+                    None,
+                    Vec::new(),
+                    EngineStats::default(),
+                    errors,
+                    EngineWall::default(),
+                )
             }
         };
 
@@ -687,44 +606,29 @@ impl Simulation {
         // A spill failure degrades (that shard finished in RAM) rather
         // than failing the run; surface it so out-of-core users know the
         // RSS bound did not hold.
-        for e in sink.spill_errors() {
+        for e in sinks.iter().flat_map(|s| s.spill_errors()) {
             eprintln!("warning: telemetry spill degraded to in-RAM: {e}");
         }
-        let segments = sink.sealed_segments().to_vec();
-        // Streaming runs defer the join: the sink becomes a k-way merge
-        // iterator and the full dataset is never materialized.
+        let segments: Vec<_> = sinks
+            .iter()
+            .flat_map(|s| s.sealed_segments())
+            .cloned()
+            .collect();
+        // The join takes the shard sinks as runs, in canonical shard order.
+        // Streaming runs defer it: the sinks become a k-way merge iterator
+        // and the full dataset is never materialized.
         let (dataset, raw_sessions, stream) = if streaming {
             (
                 None,
                 0usize,
-                Some(streamlab_telemetry::SessionStream::new(sink)),
+                Some(streamlab_telemetry::SessionStream::new(sinks)),
             )
         } else {
-            let dataset = Dataset::join(sink).map_err(SimError::Join)?;
+            let dataset = Dataset::join_runs(sinks).map_err(SimError::Join)?;
             let raw_sessions = dataset.raw_sessions;
             (Some(dataset.filter_proxies()), raw_sessions, None)
         };
-
-        let servers: Vec<ServerReport> = fleet
-            .servers()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let st = s.stats();
-                ServerReport {
-                    server: i,
-                    metro: fleet.pop_of(i).metro.to_owned(),
-                    requests: st.requests,
-                    miss_ratio: st.miss_ratio(),
-                    mean_latency_ms: st.mean_latency_ms(),
-                    retry_ratio: if st.requests == 0 {
-                        0.0
-                    } else {
-                        st.retry_fired as f64 / st.requests as f64
-                    },
-                }
-            })
-            .collect();
+        let servers = server_reports(&fleet);
         let merge_ms = merge_started.elapsed().as_secs_f64() * 1.0e3;
 
         let (metrics, trace_lines, sim_spans, wall_trace) = match recorder {
@@ -740,11 +644,7 @@ impl Simulation {
                 fold_cache_churn(&mut sim, &fleet);
                 let events = sim.events_processed.get();
                 let profile = RunProfile {
-                    engine: if cfg.threads <= 1 {
-                        "sequential".to_owned()
-                    } else {
-                        "sharded".to_owned()
-                    },
+                    engine: "sharded".to_owned(),
                     threads: cfg.threads.max(1) as u64,
                     setup_ms,
                     event_loop_ms,
@@ -791,6 +691,104 @@ impl Simulation {
             })),
         })
     }
+}
+
+/// The world one run simulates: the catalog and client population drawn
+/// from the seed, the day's sessions (generated, or a validated replay
+/// trace), the warmed and fault-armed fleet, and every session's runtime.
+struct World {
+    catalog: Catalog,
+    population: Population,
+    fleet: CdnFleet,
+    runtimes: Vec<SessionRuntime>,
+}
+
+impl World {
+    fn build(
+        cfg: &SimulationConfig,
+        specs_override: Option<Vec<SessionSpec>>,
+    ) -> Result<World, SimError> {
+        let seed = cfg.seed;
+        let mut cat_rng = RngStream::new(seed, "catalog");
+        let catalog = Catalog::generate(&cfg.catalog, &mut cat_rng);
+        let mut pop_rng = RngStream::new(seed, "population");
+        let population = Population::generate(&cfg.population, &mut pop_rng);
+        // Traffic varies by day; the world (catalog/population/fleet) does
+        // not — the §4.2.1 recurrence analysis re-observes the same
+        // deployment on successive days.
+        let specs = match specs_override {
+            Some(specs) => {
+                for s in &specs {
+                    if s.video.raw() as usize >= catalog.len() {
+                        return Err(SimError::InvalidTrace(format!(
+                            "{} watches {} but the catalog has {} videos",
+                            s.id,
+                            s.video,
+                            catalog.len()
+                        )));
+                    }
+                    if s.client.prefix.raw() as usize >= population.prefixes().len() {
+                        return Err(SimError::InvalidTrace(format!(
+                            "{} comes from {} but the population has {} prefixes",
+                            s.id,
+                            s.client.prefix,
+                            population.prefixes().len()
+                        )));
+                    }
+                }
+                specs
+            }
+            None => {
+                let mut sess_rng = RngStream::new(seed, &format!("sessions-day{}", cfg.day));
+                SessionGenerator::new(&catalog, &population).generate(&cfg.traffic, &mut sess_rng)
+            }
+        };
+
+        let mut fleet = CdnFleet::new(cfg.fleet.clone(), seed);
+        fleet.warm_parallel(&catalog, cfg.threads.max(1));
+        fleet.install_faults(&cfg.faults);
+
+        let session_master = RngStream::new(seed, &format!("session-streams-day{}", cfg.day));
+        let runtimes = build_runtimes(
+            specs,
+            cfg,
+            &session_master,
+            &catalog,
+            &population,
+            &fleet,
+            cfg.threads.max(1),
+        );
+        Ok(World {
+            catalog,
+            population,
+            fleet,
+            runtimes,
+        })
+    }
+}
+
+/// Per-server aggregates, in fleet order.
+fn server_reports(fleet: &CdnFleet) -> Vec<ServerReport> {
+    fleet
+        .servers()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let st = s.stats();
+            ServerReport {
+                server: i,
+                metro: fleet.pop_of(i).metro.to_owned(),
+                requests: st.requests,
+                miss_ratio: st.miss_ratio(),
+                mean_latency_ms: st.mean_latency_ms(),
+                retry_ratio: if st.requests == 0 {
+                    0.0
+                } else {
+                    st.retry_fired as f64 / st.requests as f64
+                },
+            }
+        })
+        .collect()
 }
 
 /// What [`Simulation::run_inner`] hands back: a materialized run or its
@@ -971,8 +969,7 @@ struct EngineStats {
     /// Events the loop(s) popped — equals the number ever scheduled, so
     /// the total is identical under any sharding.
     events: u64,
-    /// Peak pending-event count (global queue, or per-shard maximum —
-    /// profile-only, not threads-invariant).
+    /// Peak pending-event count, the maximum over shards (profile-only).
     peak_queue: usize,
 }
 
@@ -1094,65 +1091,11 @@ fn fold_cache_churn(sim: &mut SimMetrics, fleet: &CdnFleet) {
     }
 }
 
-/// The reference engine: one global event queue over every session.
-fn run_sequential<S: Subscriber>(
-    fleet: &mut CdnFleet,
-    mut runtimes: Vec<SessionRuntime>,
-    catalog: &Catalog,
-    population: &Population,
-    spill: Option<&SpillPlan>,
-    sub: &mut S,
-) -> (TelemetrySink, EngineStats) {
-    let policy = fleet.config().prefetch;
-    let est_chunks: usize = runtimes
-        .iter()
-        .map(|rt| rt.spec.chunks_watched as usize)
-        .sum();
-    // The sequential engine is one logical shard: shard 0.
-    let mut sink = match spill {
-        Some(p) => TelemetrySink::with_spill(runtimes.len(), p.spec(0)),
-        None => TelemetrySink::with_capacity(runtimes.len(), est_chunks),
-    };
-    let mut queue: EventQueue<usize> = EventQueue::with_capacity(runtimes.len());
-    for (idx, rt) in runtimes.iter().enumerate() {
-        queue.schedule(rt.spec.arrival, idx);
-    }
-    while let Some(ev) = queue.pop() {
-        let idx = ev.event;
-        let now = ev.at;
-        let next = step_chunk(
-            &mut runtimes[idx],
-            now,
-            catalog,
-            policy,
-            fleet,
-            &mut sink,
-            sub,
-        );
-        match next {
-            Some(next_t) => queue.schedule(next_t.max(now), idx),
-            None => {
-                // Read the server after the step: failover may have moved
-                // the session within its PoP.
-                let server = &fleet.servers()[runtimes[idx].server_idx];
-                let (pop, id) = (server.pop(), server.id());
-                finalize_session(&mut runtimes[idx], population, pop, id, &mut sink);
-            }
-        }
-    }
-    // Seal the tail segment before handing the sink to the join, so the
-    // sealed-segment manifest is complete.
-    sink.seal();
-    let stats = EngineStats {
-        events: queue.popped(),
-        peak_queue: queue.peak_len(),
-    };
-    (sink, stats)
-}
-
-/// The sharded engine: sessions partitioned by the shard owning their
-/// assigned server, one independent event loop per [`FleetShard`], run
-/// across `threads` workers by a work-stealing [`WorkQueue`].
+/// The engine: sessions partitioned by the shard owning their assigned
+/// server, one independent event loop per [`FleetShard`], run across
+/// `threads` workers (one at `threads <= 1`) by a work-stealing
+/// [`WorkQueue`]. Returns the surviving shards' sinks in canonical shard
+/// order, for the join to take as runs.
 ///
 /// Shards are per **server** wherever `coarse` permits (see
 /// [`coarse_pop_plan`]) and per PoP elsewhere, so a skewed session
@@ -1168,8 +1111,8 @@ fn run_sequential<S: Subscriber>(
 /// 2. the partition is stable and [`EventQueue`] breaks timestamp ties in
 ///    FIFO insertion order, so any two same-shard events pop in the same
 ///    relative order as in the global queue;
-/// 3. [`Dataset::join`] canonicalizes by session id, making the sink
-///    concatenation order irrelevant.
+/// 3. [`Dataset::join_runs`] canonicalizes by session id, making the
+///    order of the shard sinks irrelevant.
 ///
 /// Each shard job runs under [`catch_unwind`]: a panicking shard (a bug,
 /// or an injected `panic_pops` / `panic_servers` harness fault) is
@@ -1195,7 +1138,12 @@ fn run_sharded<S, F>(
     epoch: Instant,
     spill: Option<&SpillPlan>,
     make_sub: F,
-) -> (TelemetrySink, Vec<ShardRun<S>>, Vec<ShardError>, EngineWall)
+) -> (
+    Vec<TelemetrySink>,
+    Vec<ShardRun<S>>,
+    Vec<ShardError>,
+    EngineWall,
+)
 where
     S: Subscriber + Send,
     F: Fn() -> S + Sync,
@@ -1389,9 +1337,9 @@ where
         }
     });
 
-    // Slot order *is* canonical shard order (see above), so the sink
-    // layout — and the order shard recorders are folded in — is
-    // reproducible run-to-run without a sort. The join canonicalizes by
+    // Slot order *is* canonical shard order (see above), so the order of
+    // the returned sinks — and the order shard recorders are folded in —
+    // is reproducible run-to-run without a sort. The join canonicalizes by
     // session id anyway.
     let results: Vec<ShardResult<S>> = slots
         .into_iter()
@@ -1422,20 +1370,13 @@ where
             .unwrap_or_else(|e| e.into_inner()),
     };
 
-    let (total_sessions, total_chunks) = results.iter().filter_map(|(_, ok, _)| ok.as_ref()).fold(
-        (0usize, 0usize),
-        |(ns, nc), (shard_sink, _)| {
-            let (p, _, m) = shard_sink.counts();
-            (ns + m, nc + p)
-        },
-    );
-    let mut sink = TelemetrySink::with_capacity(total_sessions, total_chunks);
+    let mut sinks = Vec::with_capacity(results.len());
     let mut shards = Vec::with_capacity(results.len());
     let mut runs = Vec::with_capacity(results.len());
     let mut errors = Vec::new();
     for (shard, ok, err) in results {
-        if let Some((shard_sink, run)) = ok {
-            sink.absorb(shard_sink);
+        if let Some((sink, run)) = ok {
+            sinks.push(sink);
             runs.push(run);
         }
         if let Some(e) = err {
@@ -1444,7 +1385,7 @@ where
         shards.push(shard);
     }
     fleet.merge_shards(shards);
-    (sink, runs, errors, engine_wall)
+    (sinks, runs, errors, engine_wall)
 }
 
 /// Render a caught panic payload: strings pass through, anything else
@@ -1459,8 +1400,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One shard's event loop — structurally identical to [`run_sequential`],
-/// restricted to the shard's sessions and servers.
+/// One event loop over `sessions`, served by `pool`: a [`FleetShard`] in
+/// the engine, or the whole [`CdnFleet`] in the tests' oracle.
 ///
 /// With a `progress` cell the loop publishes a heartbeat (events popped,
 /// current sim-time) after every pop and honors the cell's cancel flag at
@@ -1471,8 +1412,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the heartbeat is two relaxed stores and never feeds back into
 /// simulation state.
 #[allow(clippy::too_many_arguments)]
-fn run_shard<S: Subscriber>(
-    shard: &mut FleetShard,
+fn run_shard<P: ServerPool, S: Subscriber>(
+    pool: &mut P,
     mut sessions: Vec<SessionRuntime>,
     catalog: &Catalog,
     population: &Population,
@@ -1509,7 +1450,7 @@ fn run_shard<S: Subscriber>(
             now,
             catalog,
             policy,
-            shard,
+            pool,
             &mut sink,
             sub,
         );
@@ -1518,7 +1459,7 @@ fn run_shard<S: Subscriber>(
             None => {
                 // Read the server after the step: failover may have moved
                 // the session within its PoP (never across shards).
-                let server = shard.server(sessions[idx].server_idx);
+                let server = pool.pool_server(sessions[idx].server_idx);
                 let (pop, id) = (server.pop(), server.id());
                 finalize_session(&mut sessions[idx], population, pop, id, &mut sink);
             }
@@ -1672,30 +1613,84 @@ mod tests {
         Simulation::new(cfg).run().expect("tiny run")
     }
 
+    /// The reference the engine is checked against: one global event
+    /// queue over every session and the whole fleet — [`run_shard`] driven
+    /// over the unsplit [`CdnFleet`], on the world a run builds.
+    fn run_oracle(cfg: SimulationConfig) -> RunOutput {
+        let World {
+            catalog,
+            population,
+            mut fleet,
+            runtimes,
+        } = World::build(&cfg, None).expect("oracle world");
+        let policy = fleet.config().prefetch;
+        let (sink, _, completed) = run_shard(
+            &mut fleet,
+            runtimes,
+            &catalog,
+            &population,
+            policy,
+            None,
+            &mut NoopSubscriber,
+            None,
+        );
+        assert!(completed, "an unwatched loop always drains");
+        let dataset = Dataset::join(sink).expect("oracle join");
+        RunOutput {
+            raw_sessions: dataset.raw_sessions,
+            dataset: dataset.filter_proxies(),
+            servers: server_reports(&fleet),
+            catalog,
+            metrics: None,
+            trace_lines: None,
+            sim_spans: None,
+            wall_trace: None,
+            shard_errors: Vec::new(),
+            segments: Vec::new(),
+        }
+    }
+
+    /// Byte-compare a run's dataset and per-server reports with the
+    /// oracle's.
+    fn assert_matches_oracle(oracle: &RunOutput, out: &RunOutput, threads: usize) {
+        let json = |o: &RunOutput| {
+            (
+                serde_json::to_string(&o.dataset).expect("serialize dataset"),
+                serde_json::to_string(&o.servers).expect("serialize servers"),
+            )
+        };
+        assert_eq!(out.raw_sessions, oracle.raw_sessions);
+        assert!(
+            json(oracle) == json(out),
+            "engine at {threads} threads diverges from the global-queue oracle"
+        );
+    }
+
     #[test]
     fn sharded_engine_matches_sequential_exactly() {
-        let seq = run_tiny_threads(42, 1);
-        let par = run_tiny_threads(42, 4);
-        assert_eq!(seq.dataset.sessions.len(), par.dataset.sessions.len());
-        assert_eq!(seq.dataset.chunk_count(), par.dataset.chunk_count());
-        for (a, b) in seq.dataset.sessions.iter().zip(&par.dataset.sessions) {
-            assert_eq!(a.meta.session, b.meta.session);
-            assert_eq!(a.meta.server, b.meta.server);
-            assert_eq!(a.chunks.len(), b.chunks.len());
-            for (ca, cb) in a.chunks.iter().zip(&b.chunks) {
-                assert_eq!(ca.player.requested_at, cb.player.requested_at);
-                assert_eq!(ca.player.d_fb, cb.player.d_fb);
-                assert_eq!(ca.cdn.retx_segments, cb.cdn.retx_segments);
+        // Clean, then faulted: `stress_scenario`'s blackout makes every
+        // PoP coarse, and the example's PoP outage makes only PoP 1
+        // coarse — failover must keep every session inside its shard.
+        let outage_restart = streamlab_faults::FaultScenario::from_json_str(include_str!(
+            "../../../../examples/faults_outage_restart.json"
+        ))
+        .expect("valid scenario");
+        let scenarios = [
+            streamlab_faults::FaultScenario::default(),
+            stress_scenario(),
+            outage_restart,
+        ];
+        for faults in scenarios {
+            let mut cfg = SimulationConfig::tiny(42);
+            cfg.faults = faults;
+            let oracle = run_oracle(cfg.clone());
+            assert!(oracle.dataset.sessions.len() > 300);
+            for threads in [1, 4] {
+                cfg.threads = threads;
+                let out = Simulation::new(cfg.clone()).run().expect("tiny run");
+                assert!(out.shard_errors.is_empty());
+                assert_matches_oracle(&oracle, &out, threads);
             }
-        }
-        // Per-server aggregates are identical too, in the same order.
-        assert_eq!(seq.servers.len(), par.servers.len());
-        for (a, b) in seq.servers.iter().zip(&par.servers) {
-            assert_eq!(a.server, b.server);
-            assert_eq!(a.requests, b.requests);
-            assert_eq!(a.miss_ratio, b.miss_ratio);
-            assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
-            assert_eq!(a.retry_ratio, b.retry_ratio);
         }
     }
 
@@ -1855,9 +1850,9 @@ mod tests {
                 .sim
         };
         let json = |m: &SimMetrics| serde::Serialize::to_value(m).to_json_string();
-        let seq = json(&run(1));
-        assert_eq!(seq, json(&run(2)));
-        assert_eq!(seq, json(&run(8)));
+        let one = json(&run(1));
+        assert_eq!(one, json(&run(2)));
+        assert_eq!(one, json(&run(8)));
     }
 
     #[test]
@@ -1918,9 +1913,9 @@ mod tests {
         let json = |out: &RunOutput| {
             serde::Serialize::to_value(&out.metrics.as_ref().expect("metrics").sim).to_json_string()
         };
-        let seq = run_faulted(1);
-        assert!(seq.metrics.as_ref().expect("metrics").sim.fault_activity() > 0);
-        let s = json(&seq);
+        let one = run_faulted(1);
+        assert!(one.metrics.as_ref().expect("metrics").sim.fault_activity() > 0);
+        let s = json(&one);
         assert_eq!(s, json(&run_faulted(2)));
         assert_eq!(s, json(&run_faulted(8)));
     }
@@ -1928,83 +1923,77 @@ mod tests {
     #[test]
     fn injected_shard_panic_yields_partial_results() {
         let full = run_tiny_threads(13, 2);
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults.panic_pops = vec![0];
-        let out = Simulation::new(cfg).run().expect("partial run succeeds");
-        assert_eq!(out.shard_errors.len(), 1);
-        assert_eq!(out.shard_errors[0].pop_index(), 0);
-        assert!(matches!(&out.shard_errors[0], ShardError::Panicked { .. }));
-        assert!(out.shard_errors[0]
-            .to_string()
-            .contains("injected shard panic"));
-        // The surviving shards' sessions are all there — and nothing else.
-        assert!(!out.dataset.sessions.is_empty());
-        assert!(out.dataset.sessions.len() < full.dataset.sessions.len());
-        let survivors: std::collections::HashSet<_> = out
-            .dataset
-            .sessions
-            .iter()
-            .map(|s| s.meta.session)
-            .collect();
-        // Every surviving session matches its counterpart in the full run
-        // (panic isolation does not perturb other shards).
-        for s in &full.dataset.sessions {
-            if survivors.contains(&s.meta.session) {
-                let p = out
-                    .dataset
-                    .sessions
-                    .iter()
-                    .find(|x| x.meta.session == s.meta.session)
-                    .expect("present");
-                assert_eq!(p.chunks.len(), s.chunks.len());
+        for threads in [1, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults.panic_pops = vec![0];
+            let out = Simulation::new(cfg).run().expect("partial run succeeds");
+            assert_eq!(out.shard_errors.len(), 1);
+            assert_eq!(out.shard_errors[0].pop_index(), 0);
+            assert!(matches!(&out.shard_errors[0], ShardError::Panicked { .. }));
+            assert!(out.shard_errors[0]
+                .to_string()
+                .contains("injected shard panic"));
+            // The surviving shards' sessions are all there — and nothing else.
+            assert!(!out.dataset.sessions.is_empty());
+            assert!(out.dataset.sessions.len() < full.dataset.sessions.len());
+            let survivors: std::collections::HashSet<_> = out
+                .dataset
+                .sessions
+                .iter()
+                .map(|s| s.meta.session)
+                .collect();
+            // Every surviving session matches its counterpart in the full run
+            // (panic isolation does not perturb other shards).
+            for s in &full.dataset.sessions {
+                if survivors.contains(&s.meta.session) {
+                    let p = out
+                        .dataset
+                        .sessions
+                        .iter()
+                        .find(|x| x.meta.session == s.meta.session)
+                        .expect("present");
+                    assert_eq!(p.chunks.len(), s.chunks.len());
+                }
             }
         }
     }
 
     #[test]
-    fn sequential_engine_ignores_panic_pops() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 1;
-        cfg.faults.panic_pops = vec![0];
-        let out = Simulation::new(cfg).run().expect("sequential run");
-        assert!(out.shard_errors.is_empty());
-        assert!(out.dataset.sessions.len() > 300);
-    }
-
-    #[test]
     fn stalled_shard_trips_watchdog_and_yields_partial_results() {
         let full = run_tiny_threads(13, 2);
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults.stall_pops = vec![0];
-        cfg.shard_deadline_ms = 150;
-        let out = Simulation::new(cfg).run().expect("partial run succeeds");
-        assert_eq!(out.shard_errors.len(), 1);
-        assert_eq!(out.shard_errors[0].pop_index(), 0);
-        assert!(
-            matches!(
-                out.shard_errors[0],
-                ShardError::Stalled {
-                    deadline_ms: 150,
-                    ..
-                }
-            ),
-            "expected a stall, got {:?}",
-            out.shard_errors[0]
-        );
-        assert!(out.shard_errors[0].to_string().contains("stalled"));
-        // Survivors are intact and byte-equal to the healthy run's.
-        assert!(!out.dataset.sessions.is_empty());
-        assert!(out.dataset.sessions.len() < full.dataset.sessions.len());
-        for p in &out.dataset.sessions {
-            let f = full
-                .dataset
-                .sessions
-                .iter()
-                .find(|x| x.meta.session == p.meta.session)
-                .expect("survivor present in full run");
-            assert_eq!(p.chunks.len(), f.chunks.len());
+        for threads in [1, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults.stall_pops = vec![0];
+            cfg.shard_deadline_ms = 150;
+            let out = Simulation::new(cfg).run().expect("partial run succeeds");
+            assert_eq!(out.shard_errors.len(), 1);
+            assert_eq!(out.shard_errors[0].pop_index(), 0);
+            assert!(
+                matches!(
+                    out.shard_errors[0],
+                    ShardError::Stalled {
+                        deadline_ms: 150,
+                        ..
+                    }
+                ),
+                "expected a stall, got {:?}",
+                out.shard_errors[0]
+            );
+            assert!(out.shard_errors[0].to_string().contains("stalled"));
+            // Survivors are intact and byte-equal to the healthy run's.
+            assert!(!out.dataset.sessions.is_empty());
+            assert!(out.dataset.sessions.len() < full.dataset.sessions.len());
+            for p in &out.dataset.sessions {
+                let f = full
+                    .dataset
+                    .sessions
+                    .iter()
+                    .find(|x| x.meta.session == p.meta.session)
+                    .expect("survivor present in full run");
+                assert_eq!(p.chunks.len(), f.chunks.len());
+            }
         }
     }
 
@@ -2028,136 +2017,132 @@ mod tests {
 
     #[test]
     fn stall_fault_without_deadline_is_rejected() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults.stall_pops = vec![0];
-        let err = Simulation::new(cfg).run().unwrap_err();
-        assert!(
-            matches!(err, SimError::Config(_)),
-            "expected config error, got {err}"
-        );
-        assert!(err.to_string().contains("shard-deadline"));
-    }
-
-    #[test]
-    fn sequential_engine_ignores_stall_pops() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 1;
-        cfg.faults.stall_pops = vec![0];
-        let out = Simulation::new(cfg).run().expect("sequential run");
-        assert!(out.shard_errors.is_empty());
-        assert!(out.dataset.sessions.len() > 300);
+        for threads in [1, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults.stall_pops = vec![0];
+            let err = Simulation::new(cfg).run().unwrap_err();
+            assert!(
+                matches!(err, SimError::Config(_)),
+                "expected config error, got {err}"
+            );
+            assert!(err.to_string().contains("shard-deadline"));
+        }
     }
 
     #[test]
     fn injected_server_panic_loses_only_that_server() {
         let full = run_tiny_threads(13, 2);
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults.panic_servers = vec![0];
-        let out = Simulation::new(cfg).run().expect("partial run succeeds");
-        // Without failure faults the engine shards per server, so the
-        // blast radius is exactly one server — not its whole PoP.
-        assert_eq!(out.shard_errors.len(), 1);
-        let err = &out.shard_errors[0];
-        assert!(matches!(err, ShardError::Panicked { .. }));
-        assert_eq!(err.servers(), &[0]);
-        let msg = err.to_string();
-        assert!(msg.contains("injected shard panic"), "{msg}");
-        assert!(msg.contains("panic_servers includes server 0"), "{msg}");
-        assert!(msg.contains("server 0"), "{msg}");
-        // Exactly server 0's sessions are missing; every survivor —
-        // including those on server 0's PoP siblings — is byte-equal to
-        // its counterpart in the healthy run.
-        let lost = full
-            .dataset
-            .sessions
-            .iter()
-            .filter(|s| s.meta.server.raw() == 0)
-            .count();
-        assert!(lost > 0, "server 0 must serve someone at tiny scale");
-        assert_eq!(
-            out.dataset.sessions.len(),
-            full.dataset.sessions.len() - lost
-        );
-        assert!(out
-            .dataset
-            .sessions
-            .iter()
-            .all(|s| s.meta.server.raw() != 0));
-        let metro0 = full.servers[0].metro.clone();
-        let siblings: std::collections::HashSet<u64> = full
-            .servers
-            .iter()
-            .filter(|s| s.metro == metro0 && s.server != 0)
-            .map(|s| s.server as u64)
-            .collect();
-        assert!(!siblings.is_empty(), "tiny fleet has >1 server per PoP");
-        let mut sibling_sessions = 0;
-        for (p, f) in out.dataset.sessions.iter().zip(
-            full.dataset
+        for threads in [1, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults.panic_servers = vec![0];
+            let out = Simulation::new(cfg).run().expect("partial run succeeds");
+            // Without failure faults the engine shards per server, so the
+            // blast radius is exactly one server — not its whole PoP.
+            assert_eq!(out.shard_errors.len(), 1);
+            let err = &out.shard_errors[0];
+            assert!(matches!(err, ShardError::Panicked { .. }));
+            assert_eq!(err.servers(), &[0]);
+            let msg = err.to_string();
+            assert!(msg.contains("injected shard panic"), "{msg}");
+            assert!(msg.contains("panic_servers includes server 0"), "{msg}");
+            assert!(msg.contains("server 0"), "{msg}");
+            // Exactly server 0's sessions are missing; every survivor —
+            // including those on server 0's PoP siblings — is byte-equal to
+            // its counterpart in the healthy run.
+            let lost = full
+                .dataset
                 .sessions
                 .iter()
-                .filter(|s| s.meta.server.raw() != 0),
-        ) {
-            assert_eq!(p.meta.session, f.meta.session);
-            assert_eq!(p.chunks.len(), f.chunks.len());
-            for (cp, cf) in p.chunks.iter().zip(&f.chunks) {
-                assert_eq!(cp.player.d_fb, cf.player.d_fb);
-                assert_eq!(cp.cdn.retx_segments, cf.cdn.retx_segments);
+                .filter(|s| s.meta.server.raw() == 0)
+                .count();
+            assert!(lost > 0, "server 0 must serve someone at tiny scale");
+            assert_eq!(
+                out.dataset.sessions.len(),
+                full.dataset.sessions.len() - lost
+            );
+            assert!(out
+                .dataset
+                .sessions
+                .iter()
+                .all(|s| s.meta.server.raw() != 0));
+            let metro0 = full.servers[0].metro.clone();
+            let siblings: std::collections::HashSet<u64> = full
+                .servers
+                .iter()
+                .filter(|s| s.metro == metro0 && s.server != 0)
+                .map(|s| s.server as u64)
+                .collect();
+            assert!(!siblings.is_empty(), "tiny fleet has >1 server per PoP");
+            let mut sibling_sessions = 0;
+            for (p, f) in out.dataset.sessions.iter().zip(
+                full.dataset
+                    .sessions
+                    .iter()
+                    .filter(|s| s.meta.server.raw() != 0),
+            ) {
+                assert_eq!(p.meta.session, f.meta.session);
+                assert_eq!(p.chunks.len(), f.chunks.len());
+                for (cp, cf) in p.chunks.iter().zip(&f.chunks) {
+                    assert_eq!(cp.player.d_fb, cf.player.d_fb);
+                    assert_eq!(cp.cdn.retx_segments, cf.cdn.retx_segments);
+                }
+                if siblings.contains(&p.meta.server.raw()) {
+                    sibling_sessions += 1;
+                }
             }
-            if siblings.contains(&p.meta.server.raw()) {
-                sibling_sessions += 1;
-            }
+            assert!(
+                sibling_sessions > 0,
+                "sibling shards of the panicked server's PoP must survive"
+            );
         }
-        assert!(
-            sibling_sessions > 0,
-            "sibling shards of the panicked server's PoP must survive"
-        );
     }
 
     #[test]
     fn injected_server_stall_is_cancelled_at_server_granularity() {
         let full = run_tiny_threads(13, 2);
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults.stall_servers = vec![3];
-        cfg.shard_deadline_ms = 150;
-        let out = Simulation::new(cfg).run().expect("partial run succeeds");
-        assert_eq!(out.shard_errors.len(), 1);
-        let err = &out.shard_errors[0];
-        assert!(
-            matches!(
-                err,
-                ShardError::Stalled {
-                    deadline_ms: 150,
-                    ..
-                }
-            ),
-            "expected a stall, got {err:?}"
-        );
-        assert_eq!(err.servers(), &[3]);
-        let msg = err.to_string();
-        assert!(msg.contains("stalled"), "{msg}");
-        assert!(msg.contains("server 3"), "{msg}");
-        assert!(msg.contains("cancelled by the watchdog"), "{msg}");
-        // Only server 3's sessions are gone.
-        let lost = full
-            .dataset
-            .sessions
-            .iter()
-            .filter(|s| s.meta.server.raw() == 3)
-            .count();
-        assert!(lost > 0);
-        assert_eq!(
-            out.dataset.sessions.len(),
-            full.dataset.sessions.len() - lost
-        );
-        assert!(out
-            .dataset
-            .sessions
-            .iter()
-            .all(|s| s.meta.server.raw() != 3));
+        for threads in [1, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults.stall_servers = vec![3];
+            cfg.shard_deadline_ms = 150;
+            let out = Simulation::new(cfg).run().expect("partial run succeeds");
+            assert_eq!(out.shard_errors.len(), 1);
+            let err = &out.shard_errors[0];
+            assert!(
+                matches!(
+                    err,
+                    ShardError::Stalled {
+                        deadline_ms: 150,
+                        ..
+                    }
+                ),
+                "expected a stall, got {err:?}"
+            );
+            assert_eq!(err.servers(), &[3]);
+            let msg = err.to_string();
+            assert!(msg.contains("stalled"), "{msg}");
+            assert!(msg.contains("server 3"), "{msg}");
+            assert!(msg.contains("cancelled by the watchdog"), "{msg}");
+            // Only server 3's sessions are gone.
+            let lost = full
+                .dataset
+                .sessions
+                .iter()
+                .filter(|s| s.meta.server.raw() == 3)
+                .count();
+            assert!(lost > 0);
+            assert_eq!(
+                out.dataset.sessions.len(),
+                full.dataset.sessions.len() - lost
+            );
+            assert!(out
+                .dataset
+                .sessions
+                .iter()
+                .all(|s| s.meta.server.raw() != 3));
+        }
     }
 
     #[test]
@@ -2165,46 +2150,39 @@ mod tests {
         // A pop_outage on PoP 0 forces that PoP coarse (failover is
         // possible there); a panic_servers fault on one of its members
         // then costs the whole PoP's shard — the documented fallback.
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults = streamlab_faults::FaultScenario::from_json_str(
-            r#"{
-                "pop_outages": [{"pop": 0, "from_s": 5000.0, "until_s": 5100.0}],
-                "panic_servers": [0]
-            }"#,
-        )
-        .expect("valid scenario");
-        let out = Simulation::new(cfg).run().expect("partial run succeeds");
-        assert_eq!(out.shard_errors.len(), 1);
-        let err = &out.shard_errors[0];
-        assert_eq!(err.pop_index(), 0);
-        assert!(
-            err.servers().len() > 1,
-            "coarse shard owns the whole PoP, got {:?}",
-            err.servers()
-        );
-        assert!(err.to_string().contains("PoP 0"));
-    }
-
-    #[test]
-    fn sequential_engine_ignores_server_harness_faults() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 1;
-        cfg.faults.panic_servers = vec![0];
-        cfg.faults.stall_servers = vec![1];
-        let out = Simulation::new(cfg).run().expect("sequential run");
-        assert!(out.shard_errors.is_empty());
-        assert!(out.dataset.sessions.len() > 300);
+        for threads in [1, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults = streamlab_faults::FaultScenario::from_json_str(
+                r#"{
+                    "pop_outages": [{"pop": 0, "from_s": 5000.0, "until_s": 5100.0}],
+                    "panic_servers": [0]
+                }"#,
+            )
+            .expect("valid scenario");
+            let out = Simulation::new(cfg).run().expect("partial run succeeds");
+            assert_eq!(out.shard_errors.len(), 1);
+            let err = &out.shard_errors[0];
+            assert_eq!(err.pop_index(), 0);
+            assert!(
+                err.servers().len() > 1,
+                "coarse shard owns the whole PoP, got {:?}",
+                err.servers()
+            );
+            assert!(err.to_string().contains("PoP 0"));
+        }
     }
 
     #[test]
     fn stall_server_without_deadline_is_rejected() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults.stall_servers = vec![1];
-        let err = Simulation::new(cfg).run().unwrap_err();
-        assert!(matches!(err, SimError::Config(_)));
-        assert!(err.to_string().contains("shard-deadline"));
+        for threads in [1, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults.stall_servers = vec![1];
+            let err = Simulation::new(cfg).run().unwrap_err();
+            assert!(matches!(err, SimError::Config(_)));
+            assert!(err.to_string().contains("shard-deadline"));
+        }
     }
 
     #[test]
@@ -2270,24 +2248,23 @@ mod tests {
         // Few sessions over many servers: some shards run zero sessions
         // and must still round-trip (empty sink, zero events, merged
         // back) without perturbing the output.
-        let mut seq_cfg = SimulationConfig::tiny(21);
-        seq_cfg.traffic.sessions = 40;
-        let seq = Simulation::new(seq_cfg).run().expect("sequential run");
-        let mut cfg = SimulationConfig::tiny(21);
-        cfg.traffic.sessions = 40;
-        cfg.threads = 4;
-        let out = Simulation::new(cfg)
-            .run_observed(ObsOptions::default())
-            .expect("observed run");
-        let m = out.metrics.as_ref().expect("metrics present");
-        assert!(
-            m.profile.shards.iter().any(|s| s.sessions == 0),
-            "40 sessions over 20 servers must leave some shard empty"
-        );
-        assert_eq!(out.dataset.sessions.len(), seq.dataset.sessions.len());
-        for (a, b) in seq.dataset.sessions.iter().zip(&out.dataset.sessions) {
-            assert_eq!(a.meta.session, b.meta.session);
-            assert_eq!(a.chunks.len(), b.chunks.len());
+        let config = |threads: usize| {
+            let mut cfg = SimulationConfig::tiny(21);
+            cfg.traffic.sessions = 40;
+            cfg.threads = threads;
+            cfg
+        };
+        let oracle = run_oracle(config(1));
+        for threads in [1, 4] {
+            let out = Simulation::new(config(threads))
+                .run_observed(ObsOptions::default())
+                .expect("observed run");
+            let m = out.metrics.as_ref().expect("metrics present");
+            assert!(
+                m.profile.shards.iter().any(|s| s.sessions == 0),
+                "40 sessions over 20 servers must leave some shard empty"
+            );
+            assert_matches_oracle(&oracle, &out, threads);
         }
     }
 
@@ -2296,21 +2273,17 @@ mod tests {
         // One server per PoP: every shard is simultaneously per-server
         // and per-PoP — the fine/coarse boundary collapses; more workers
         // than shards leaves the spares idle.
-        let build = |threads: usize| {
+        let config = |threads: usize| {
             let mut cfg = SimulationConfig::tiny(5);
             cfg.fleet_mut().servers = 10;
             cfg.threads = threads;
-            Simulation::new(cfg).run().expect("run")
+            cfg
         };
-        let seq = build(1);
-        let par = build(16);
-        assert!(seq.dataset.sessions.len() > 300);
-        assert_eq!(seq.dataset.sessions.len(), par.dataset.sessions.len());
-        for (a, b) in seq.dataset.sessions.iter().zip(&par.dataset.sessions) {
-            assert_eq!(a.meta.session, b.meta.session);
-            for (ca, cb) in a.chunks.iter().zip(&b.chunks) {
-                assert_eq!(ca.player.d_fb, cb.player.d_fb);
-            }
+        let oracle = run_oracle(config(1));
+        assert!(oracle.dataset.sessions.len() > 300);
+        for threads in [1, 16] {
+            let out = Simulation::new(config(threads)).run().expect("run");
+            assert_matches_oracle(&oracle, &out, threads);
         }
     }
 

@@ -133,10 +133,11 @@ impl SessionRuntime {
 /// fleet-wide prefetch policy. Returns the time of the session's next
 /// request, or `None` when the session ended.
 ///
-/// The pool is either the whole [`CdnFleet`] (sequential engine) or the
-/// session's PoP [`FleetShard`]: a step only ever touches servers of the
-/// session's own PoP (assignment and failover both stay in-PoP), so
-/// per-PoP shards can run concurrently and remain exact.
+/// The pool is the session's [`streamlab_cdn::FleetShard`] in the engine,
+/// or the whole [`CdnFleet`] in the tests' global-queue oracle: a step
+/// only ever touches servers of the session's own failover domain
+/// (assignment and failover both stay inside it), so shards can run
+/// concurrently and remain exact.
 ///
 /// Observability events flow into `sub`; with
 /// [`streamlab_obs::NoopSubscriber`] the probes monomorphize away and this

@@ -22,10 +22,10 @@
 //! scenario-free runs consume exactly the same random numbers as before
 //! the fault layer existed.
 //!
-//! The one deliberate exception is [`FaultScenario::panic_pops`]: it
-//! injects a *harness* fault (a shard job panic) used to exercise the
-//! orchestrator's panic isolation, and therefore only has an effect on the
-//! sharded engine.
+//! The one deliberate exception is [`FaultScenario::panic_pops`] and its
+//! siblings: they inject *harness* faults (a shard job that panics or
+//! wedges) used to exercise the orchestrator's isolation of shard
+//! workers, at any thread count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

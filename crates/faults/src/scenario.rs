@@ -166,13 +166,13 @@ pub struct FaultScenario {
     pub blackouts: Vec<Blackout>,
     /// Origin/backend slowdown windows (fleet-wide).
     pub backend_slowdowns: Vec<BackendSlowdown>,
-    /// Harness fault: PoP indices whose shard job panics at start. Only
-    /// affects the sharded engine; exercises the orchestrator's panic
-    /// isolation and partial-result reporting.
+    /// Harness fault: PoP indices whose shard job panics at start.
+    /// Exercises the orchestrator's panic isolation and partial-result
+    /// reporting.
     pub panic_pops: Vec<usize>,
     /// Harness fault: PoP indices whose shard job wedges (sim-time stops
-    /// advancing) instead of finishing. Only affects the sharded engine;
-    /// exercises the supervisor watchdog's stall detection. Without a
+    /// advancing) instead of finishing. Exercises the supervisor
+    /// watchdog's stall detection. Without a
     /// `--shard-deadline` the run would hang, so the engine rejects this
     /// fault when no deadline is configured.
     pub stall_pops: Vec<usize>,
@@ -180,7 +180,7 @@ pub struct FaultScenario {
     /// start. With fine-grained (per-server) sharding this kills just the
     /// one server's shard and its PoP siblings survive; when the server's
     /// PoP runs as a single coarse shard (because another fault pins it
-    /// together), the whole PoP's shard panics. Sharded engine only.
+    /// together), the whole PoP's shard panics.
     pub panic_servers: Vec<usize>,
     /// Harness fault: global server indices whose shard job wedges
     /// instead of finishing — the per-server analogue of `stall_pops`,

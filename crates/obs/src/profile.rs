@@ -55,7 +55,7 @@ pub struct SchedulerCounters {
     /// Steal scans that found every deque empty.
     pub steal_failures: u64,
     /// Worker deques actually spun up (after the per-worker cost-floor
-    /// clamp; zero for the sequential engine).
+    /// clamp).
     pub workers: u64,
     /// Workers the cost-floor clamp removed relative to the requested
     /// thread count: non-zero means the fleet was too small to feed every
@@ -66,7 +66,8 @@ pub struct SchedulerCounters {
 /// Wall-clock profile of one run: where the time went.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunProfile {
-    /// Engine used: `"sequential"` or `"sharded"`.
+    /// Engine used: always `"sharded"` (one event loop per fleet shard at
+    /// every thread count).
     pub engine: String,
     /// Worker threads requested.
     pub threads: u64,
@@ -79,13 +80,11 @@ pub struct RunProfile {
     pub merge_ms: f64,
     /// Events processed per wall second across the whole event loop.
     pub events_per_sec: f64,
-    /// Peak pending-event count (global queue for the sequential engine;
-    /// maximum over shards for the sharded engine).
+    /// Peak pending-event count: the maximum over shards.
     pub peak_queue_depth: u64,
-    /// Work-stealing scheduler counters (all zero for the sequential
-    /// engine, which has no job queue).
+    /// Work-stealing scheduler counters.
     pub scheduler: SchedulerCounters,
-    /// Per-shard breakdown (empty for the sequential engine).
+    /// Per-shard breakdown, in canonical shard order.
     pub shards: Vec<ShardProfile>,
 }
 

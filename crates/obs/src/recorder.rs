@@ -16,14 +16,13 @@ use std::collections::HashMap;
 
 /// A per-shard metrics collector.
 ///
-/// Each shard (or the single sequential event loop) owns one recorder;
-/// after the run the orchestrator merges them **in canonical shard
-/// order**. Counter and histogram merges are commutative, so
-/// [`SimMetrics`] is byte-identical at any thread count; trace lines are
-/// concatenated in the same canonical order, but *within-run interleaving
-/// across shards* necessarily differs from the sequential engine's global
-/// time order, so the trace promises "non-empty and parseable", not
-/// byte-identity (see DESIGN.md §10).
+/// Each shard's event loop owns one recorder; after the run the
+/// orchestrator merges them **in canonical shard order**. Counter and
+/// histogram merges are commutative, so [`SimMetrics`] is byte-identical
+/// at any thread count. Trace lines are concatenated in the same
+/// canonical order — each shard's stream in its own time order — and the
+/// shards are the same at every thread count, so the JSONL event trace is
+/// byte-identical at any thread count too (see DESIGN.md §10).
 #[derive(Debug, Default)]
 pub struct MetricsRecorder {
     metrics: SimMetrics,
@@ -324,9 +323,8 @@ impl Subscriber for MetricsRecorder {
 
     fn on_shard_merge(&mut self, meta: &Meta, event: &ShardMerge) {
         // Shard merges are an engine-topology fact, not a simulation
-        // fact: counting them into SimMetrics would break the
-        // threads-invariance contract (the sequential engine has none).
-        // They appear in the trace and in RunProfile only.
+        // fact: they appear in the trace and in RunProfile only, never in
+        // SimMetrics.
         self.emit(meta, "ShardMerge", event);
     }
 

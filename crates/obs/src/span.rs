@@ -9,10 +9,9 @@
 //! Spans are collected per shard as they happen, concatenated in
 //! canonical shard order, and then [`canonicalize`]d — sorted by
 //! `(session, chunk, kind)` and re-numbered with parents assigned — so
-//! the serialized stream is **byte-identical at any `--threads` value**.
-//! The sharded engine interleaves sessions differently than the
-//! sequential one, but the canonical order is a pure function of the
-//! simulated timeline, which `tests/trace_spans.rs` pins down. Wall-clock
+//! the serialized stream is **byte-identical at any `--threads` value**:
+//! the canonical order is a pure function of the simulated timeline,
+//! which `tests/trace_spans.rs` pins down. Wall-clock
 //! intervals are deliberately a different type
 //! ([`crate::trace_writer::WallTrace`]); the two clocks never mix.
 

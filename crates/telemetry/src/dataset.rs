@@ -105,12 +105,6 @@ impl TelemetrySink {
         self.sessions.push(m);
     }
 
-    /// Stream sizes `(player, cdn, sessions)` currently held in RAM
-    /// (spilled rows excluded; see [`TelemetrySink::spilled_rows`]).
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (self.player.len(), self.cdn.len(), self.sessions.len())
-    }
-
     /// Paired rows sealed into segments so far.
     pub fn spilled_rows(&self) -> u64 {
         self.sealed.iter().map(|s| s.rows).sum()
@@ -125,23 +119,6 @@ impl TelemetrySink {
     /// the sink that hit it; the affected rows stayed in RAM).
     pub fn spill_errors(&self) -> &[String] {
         &self.spill_errors
-    }
-
-    /// Append every record from `other`, consuming it.
-    ///
-    /// Used to merge the per-shard sinks of a parallel run. Concatenation
-    /// order does not matter for the result of [`Dataset::join`]: the join
-    /// canonicalizes by session id, so any interleaving of shard sinks
-    /// produces the same dataset. Sealed segments and spill errors are
-    /// carried over; `other`'s live spill configuration is dropped (the
-    /// absorbing sink is the post-run merge target, which never spills
-    /// itself).
-    pub fn absorb(&mut self, other: TelemetrySink) {
-        self.player.extend(other.player);
-        self.cdn.extend(other.cdn);
-        self.sessions.extend(other.sessions);
-        self.sealed.extend(other.sealed);
-        self.spill_errors.extend(other.spill_errors);
     }
 
     /// Flush the remaining arena rows as a final (possibly small) segment.
@@ -233,20 +210,16 @@ impl TelemetrySink {
         (self.player, self.cdn, self.sessions, self.sealed)
     }
 
-    /// Rebuild a plain in-RAM sink from raw parts (merge machinery).
-    pub(crate) fn from_parts(
-        player: Vec<PlayerChunkRecord>,
-        cdn: Vec<CdnChunkRecord>,
-        sessions: Vec<SessionMeta>,
-        sealed: Vec<SegmentMeta>,
-    ) -> Self {
-        TelemetrySink {
-            player,
-            cdn,
-            sessions,
-            sealed,
-            ..Self::default()
-        }
+    /// True when the in-RAM arenas are pairwise keyed (`player[i]` and
+    /// `cdn[i]` are the same chunk) — the shape a spilled sink's tail must
+    /// have to join the k-way merge as one more sorted run.
+    pub(crate) fn arenas_paired(&self) -> bool {
+        self.player.len() == self.cdn.len()
+            && self
+                .player
+                .iter()
+                .zip(&self.cdn)
+                .all(|(p, c)| (p.session, p.chunk) == (c.session, c.chunk))
     }
 }
 
@@ -412,93 +385,105 @@ impl Dataset {
     /// unlike production — the join must be total, and a violation is a
     /// bug in the orchestrator.
     pub fn join(sink: TelemetrySink) -> Result<Dataset, JoinError> {
-        Self::assemble(sink)
+        Self::join_runs(vec![sink])
     }
 
-    /// The production join: a linear indexed pass exploiting the shape
-    /// the engines actually emit, falling back to [`Dataset::join_reference`]
-    /// when any invariant does not hold.
+    /// Join several sinks taken as *runs* — the engine's per-shard sinks,
+    /// in canonical shard order — into one dataset, exactly as if every
+    /// record had gone into one sink in run order. Nothing is copied into
+    /// a merged sink first.
     ///
-    /// The engines push each chunk's player and CDN records adjacently
-    /// (`sink.player[i]` ↔ `sink.cdn[i]` are the same chunk) and each
-    /// session's chunks in order `0, 1, 2, …` — invariants a single O(n)
-    /// validation pass can confirm without hashing a single key. When they
-    /// hold, assembly is pure moves into pre-sized per-session vectors in
-    /// ascending session-id order: exactly the dataset the hash-join
-    /// reference builds, without the `HashMap`, the `BTreeMap` or the
-    /// per-session sort. When they don't (hand-built sinks, out-of-order
-    /// replays), the reference path runs and reports the exact same
+    /// Spilled runs stream through the k-way merge of
+    /// [`crate::SessionStream`]. In-RAM runs take a linear indexed pass
+    /// exploiting the shape the engine emits, falling back to the
+    /// reference hash join ([`Dataset::join_reference`]) when any
+    /// invariant does not hold.
+    ///
+    /// The engine pushes each chunk's player and CDN records adjacently
+    /// (`player[i]` ↔ `cdn[i]` are the same chunk) and each session's
+    /// chunks in order `0, 1, 2, …`, all in the one shard that owns the
+    /// session — invariants a single O(n) validation pass over the runs
+    /// can confirm without hashing a single key. When they hold, assembly
+    /// is pure moves into pre-sized per-session vectors in ascending
+    /// session-id order: exactly the dataset the reference builds,
+    /// without the `HashMap`, the `BTreeMap` or the per-session sort.
+    /// When they don't (hand-built sinks, out-of-order replays, a key in
+    /// two runs), the reference path runs and reports the exact same
     /// [`JoinError`]s it always did.
-    pub fn assemble(sink: TelemetrySink) -> Result<Dataset, JoinError> {
-        if !sink.sealed_segments().is_empty() {
-            return crate::merge::assemble_spilled(sink);
+    pub fn join_runs(runs: Vec<TelemetrySink>) -> Result<Dataset, JoinError> {
+        if runs.iter().any(|r| !r.sealed_segments().is_empty()) {
+            return crate::merge::assemble_spilled(runs);
         }
-        match Self::join_indexed(sink) {
+        match Self::join_indexed(runs) {
             Ok(ds) => Ok(ds),
-            Err(sink) => Self::join_reference(sink),
+            Err(runs) => Self::reference(runs),
         }
     }
 
-    /// The indexed fast path. Returns the sink unchanged if any invariant
+    /// The indexed fast path. Returns the runs unchanged if any invariant
     /// fails, so the caller can fall back to the reference join.
-    #[allow(clippy::result_large_err)] // Err hands the whole sink back for the fallback join
-    fn join_indexed(sink: TelemetrySink) -> Result<Dataset, TelemetrySink> {
+    fn join_indexed(runs: Vec<TelemetrySink>) -> Result<Dataset, Vec<TelemetrySink>> {
         // --- validation: one read-only linear pass ---
-        if sink.player.len() != sink.cdn.len() {
-            return Err(sink);
+        if runs.iter().any(|r| r.player.len() != r.cdn.len()) {
+            return Err(runs);
         }
-        let mut max_id: u64 = 0;
-        for m in &sink.sessions {
-            max_id = max_id.max(m.session.raw());
-        }
-        for p in &sink.player {
-            max_id = max_id.max(p.session.raw());
+        let (mut n_sessions, mut n_chunks, mut max_id) = (0usize, 0usize, 0u64);
+        for r in &runs {
+            n_sessions += r.sessions.len();
+            n_chunks += r.player.len();
+            for m in &r.sessions {
+                max_id = max_id.max(m.session.raw());
+            }
+            for p in &r.player {
+                max_id = max_id.max(p.session.raw());
+            }
         }
         let slots = max_id as usize + 1;
         // Engines hand out dense session ids; a sparse id space would blow
         // the direct-indexed tables up, so punt to the hash join instead.
-        if slots > 4 * (sink.sessions.len() + sink.player.len()) + 1024 {
-            return Err(sink);
+        if slots > 4 * (n_sessions + n_chunks) + 1024 {
+            return Err(runs);
         }
         // Per-session expected next chunk id; doubles as the chunk count.
+        // Shared across runs, so a key repeated in a later run breaks the
+        // expected sequence like any other duplicate.
         let mut next: Vec<u32> = vec![0; slots];
-        for (p, c) in sink.player.iter().zip(&sink.cdn) {
-            if p.session != c.session || p.chunk != c.chunk {
-                return Err(sink);
+        for r in &runs {
+            for (p, c) in r.player.iter().zip(&r.cdn) {
+                if p.session != c.session || p.chunk != c.chunk {
+                    return Err(runs);
+                }
+                let sid = p.session.raw() as usize;
+                if p.chunk.raw() != next[sid] {
+                    return Err(runs);
+                }
+                next[sid] += 1;
             }
-            let sid = p.session.raw() as usize;
-            if p.chunk.raw() != next[sid] {
-                return Err(sink);
-            }
-            next[sid] += 1;
         }
         let mut has_meta = vec![false; slots];
-        for m in &sink.sessions {
+        for m in runs.iter().flat_map(|r| &r.sessions) {
             has_meta[m.session.raw() as usize] = true;
         }
         if next.iter().zip(&has_meta).any(|(&n, &has)| n > 0 && !has) {
-            return Err(sink);
+            return Err(runs);
         }
 
         // --- assembly: pure moves, cannot fail ---
-        let TelemetrySink {
-            player,
-            cdn,
-            sessions,
-            ..
-        } = sink;
         let mut meta_slot: Vec<Option<SessionMeta>> = (0..slots).map(|_| None).collect();
-        for m in sessions {
-            // Last meta wins, matching the reference join's map insert.
-            let sid = m.session.raw() as usize;
-            meta_slot[sid] = Some(m);
-        }
         let mut chunk_slot: Vec<Vec<ChunkRecord>> = next
             .iter()
             .map(|&n| Vec::with_capacity(n as usize))
             .collect();
-        for (p, c) in player.into_iter().zip(cdn) {
-            chunk_slot[p.session.raw() as usize].push(ChunkRecord { player: p, cdn: c });
+        // Each run's arenas are freed as soon as its records have moved.
+        for run in runs {
+            for m in run.sessions {
+                // Last meta wins, matching the reference join's map insert.
+                let sid = m.session.raw() as usize;
+                meta_slot[sid] = Some(m);
+            }
+            for (p, c) in run.player.into_iter().zip(run.cdn) {
+                chunk_slot[p.session.raw() as usize].push(ChunkRecord { player: p, cdn: c });
+            }
         }
         let live = next.iter().filter(|&&n| n > 0).count();
         let mut out = Vec::with_capacity(live);
@@ -521,20 +506,28 @@ impl Dataset {
 
     /// The reference hash join: builds the dataset key-by-key with no
     /// assumptions about record order or alignment. This is the semantic
-    /// definition [`Dataset::assemble`]'s fast path is tested against, and
+    /// definition [`Dataset::join`]'s fast path is tested against, and
     /// the path that diagnoses malformed sinks with a precise
     /// [`JoinError`].
-    pub fn join_reference(mut sink: TelemetrySink) -> Result<Dataset, JoinError> {
+    pub fn join_reference(sink: TelemetrySink) -> Result<Dataset, JoinError> {
+        Self::reference(vec![sink])
+    }
+
+    /// [`Dataset::join_reference`] over runs: the records of every run, in
+    /// run order.
+    fn reference(mut runs: Vec<TelemetrySink>) -> Result<Dataset, JoinError> {
         // The oracle must see spilled rows too: read them back into the
         // arenas first so it joins exactly what the streaming merge would.
-        sink.materialize()?;
+        for r in &mut runs {
+            r.materialize()?;
+        }
         let mut metas: BTreeMap<SessionId, SessionMeta> = BTreeMap::new();
-        for m in sink.sessions {
+        for m in runs.iter_mut().flat_map(|r| r.sessions.drain(..)) {
             metas.insert(m.session, m);
         }
 
         let mut cdn: HashMap<(SessionId, ChunkIndex), CdnChunkRecord> = HashMap::new();
-        for r in sink.cdn {
+        for r in runs.iter_mut().flat_map(|r| r.cdn.drain(..)) {
             let key = (r.session, r.chunk);
             if cdn.insert(key, r).is_some() {
                 return Err(JoinError::DuplicateKey(key.0, key.1));
@@ -542,7 +535,7 @@ impl Dataset {
         }
 
         let mut by_session: BTreeMap<SessionId, Vec<ChunkRecord>> = BTreeMap::new();
-        for p in sink.player {
+        for p in runs.into_iter().flat_map(|r| r.player) {
             let key = (p.session, p.chunk);
             let Some(c) = cdn.remove(&key) else {
                 return Err(JoinError::OrphanPlayerRecord(key.0, key.1));

@@ -1,23 +1,24 @@
 //! Streaming k-way merge over sealed spill segments.
 //!
-//! A spilled [`TelemetrySink`] holds its chunk records as a set of sorted
-//! runs: one per sealed segment plus whatever tail is still in RAM. Each
-//! run is strictly ascending on `(session, chunk)` and pairwise keyed
-//! (player\[i\] ↔ cdn\[i\] are the same chunk), and a session's records all
-//! come from one shard, so merging the runs by sort key yields the exact
-//! record order the in-RAM join produces: sessions ascending by id, chunks
+//! The join takes the engine's per-shard sinks as *runs*. A spilled sink
+//! holds its chunk records as a set of sorted runs of its own: one per
+//! sealed segment plus whatever tail is still in RAM. Each run is strictly
+//! ascending on `(session, chunk)` and pairwise keyed (player\[i\] ↔
+//! cdn\[i\] are the same chunk), and a session's records all come from one
+//! shard, so merging every sink's runs by sort key yields the exact record
+//! order the in-RAM join produces: sessions ascending by id, chunks
 //! ascending within each session.
 //!
 //! The merge runs behind a classic loser tree — `O(log k)` comparisons per
 //! row — and re-applies the in-RAM join's invariant checks per merge
-//! window: keys must strictly ascend (an equal key is a
-//! [`JoinError::DuplicateKey`]) and every emitted session must have
-//! metadata ([`JoinError::MissingSessionMeta`]). Orphan checks are free:
-//! segments store paired rows, so one-sided records cannot exist in a run.
-//! Sinks whose in-RAM tail is *not* merge-shaped (hand-built sinks with
-//! mismatched halves) fall back to materializing every segment and running
-//! [`Dataset::join_reference`], which reports the same errors it always
-//! did — the reference join stays the oracle either way.
+//! window: keys must strictly ascend (an equal key, within one sink or
+//! across two, is a [`JoinError::DuplicateKey`]) and every emitted session
+//! must have metadata ([`JoinError::MissingSessionMeta`]). Orphan checks
+//! are free: segments store paired rows, so one-sided records cannot exist
+//! in a run. Sinks whose in-RAM tail is *not* merge-shaped (hand-built
+//! sinks with mismatched halves) fall back to materializing every segment
+//! and joining in RAM, where [`Dataset::join_reference`] reports the same
+//! errors it always did — the reference join stays the oracle either way.
 
 use std::io;
 use std::path::Path;
@@ -186,7 +187,7 @@ fn sorted_metas(mut sessions: Vec<SessionMeta>) -> Vec<SessionMeta> {
 }
 
 /// A bounded-memory stream of joined sessions in ascending session-id
-/// order — the streaming twin of [`Dataset::assemble`].
+/// order — the streaming twin of [`Dataset::join_runs`].
 ///
 /// Holds one row group per open segment plus the session currently being
 /// assembled; never the whole dataset. Yields `Err` at most once (the
@@ -199,7 +200,7 @@ pub struct SessionStream {
 enum StreamInner {
     Merged(Box<Merged>),
     /// Fallback for sinks that cannot be streamed: fully materialized
-    /// upfront (identical to the in-RAM assemble).
+    /// upfront (identical to the in-RAM join).
     Materialized(std::vec::IntoIter<SessionData>),
     Failed(Option<JoinError>),
 }
@@ -214,9 +215,10 @@ struct Merged {
 }
 
 impl SessionStream {
-    /// Build a session stream from a sink (spilled or not).
-    pub fn new(sink: TelemetrySink) -> SessionStream {
-        match Self::try_new(sink) {
+    /// Build a session stream over sinks taken as runs (spilled or not),
+    /// e.g. the engine's per-shard sinks in canonical shard order.
+    pub fn new(runs: Vec<TelemetrySink>) -> SessionStream {
+        match Self::try_new(runs) {
             Ok(s) => s,
             Err(e) => SessionStream {
                 inner: StreamInner::Failed(Some(e)),
@@ -224,47 +226,40 @@ impl SessionStream {
         }
     }
 
-    fn try_new(sink: TelemetrySink) -> Result<SessionStream, JoinError> {
-        if sink.sealed_segments().is_empty() {
-            let ds = Dataset::assemble(sink)?;
-            return Ok(SessionStream {
-                inner: StreamInner::Materialized(ds.sessions.into_iter()),
-            });
-        }
-        let (player, cdn, sessions, sealed) = sink.into_parts();
-
-        // The in-RAM tail joins the merge as one more run if it is
-        // engine-shaped: pairwise keyed and sortable. Otherwise fall back
-        // to the materialized reference join.
-        if player.len() != cdn.len()
-            || player
-                .iter()
-                .zip(&cdn)
-                .any(|(p, c)| (p.session, p.chunk) != (c.session, c.chunk))
+    fn try_new(mut runs: Vec<TelemetrySink>) -> Result<SessionStream, JoinError> {
+        // Nothing spilled, or an in-RAM tail that is not engine-shaped
+        // (pairwise keyed, so sortable into one more run): join in RAM.
+        if runs.iter().all(|r| r.sealed_segments().is_empty())
+            || !runs.iter().all(TelemetrySink::arenas_paired)
         {
-            let mut sink = TelemetrySink::from_parts(player, cdn, sessions, sealed);
-            sink.materialize()?;
-            let ds = Dataset::assemble(sink)?;
+            for r in &mut runs {
+                r.materialize()?;
+            }
+            let ds = Dataset::join_runs(runs)?;
             return Ok(SessionStream {
                 inner: StreamInner::Materialized(ds.sessions.into_iter()),
             });
         }
 
-        let mut runs = Vec::with_capacity(sealed.len() + 1);
-        for meta in &sealed {
-            runs.push(open_run(meta)?);
+        let mut merge_runs = Vec::new();
+        let mut metas = Vec::new();
+        for sink in runs {
+            let (player, cdn, sessions, sealed) = sink.into_parts();
+            for meta in &sealed {
+                merge_runs.push(open_run(meta)?);
+            }
+            if !player.is_empty() {
+                let mut pairs: Vec<Pair> = player.into_iter().zip(cdn).collect();
+                pairs.sort_unstable_by_key(|a| key_of(&a.0));
+                merge_runs.push(Run::Mem(pairs.into_iter()));
+            }
+            metas.extend(sessions);
         }
-        if !player.is_empty() {
-            let mut pairs: Vec<Pair> = player.into_iter().zip(cdn).collect();
-            pairs.sort_unstable_by_key(|a| key_of(&a.0));
-            runs.push(Run::Mem(pairs.into_iter()));
-        }
-        let metas = sorted_metas(sessions);
-        let mut metas = metas.into_iter();
+        let mut metas = sorted_metas(metas).into_iter();
         let next_meta = metas.next();
         Ok(SessionStream {
             inner: StreamInner::Merged(Box::new(Merged {
-                tree: LoserTree::new(runs)?,
+                tree: LoserTree::new(merge_runs)?,
                 metas,
                 next_meta,
                 pending: None,
@@ -385,13 +380,13 @@ impl Iterator for SessionStream {
     }
 }
 
-/// [`Dataset::assemble`] for a spilled sink: stream the k-way merge and
+/// [`Dataset::join_runs`] for spilled runs: stream the k-way merge and
 /// collect the sessions. Byte-identical to the in-RAM path on
 /// engine-shaped input; reference-identical errors on single-violation
 /// faulted input.
-pub(crate) fn assemble_spilled(sink: TelemetrySink) -> Result<Dataset, JoinError> {
+pub(crate) fn assemble_spilled(runs: Vec<TelemetrySink>) -> Result<Dataset, JoinError> {
     let mut sessions = Vec::new();
-    for s in SessionStream::new(sink) {
+    for s in SessionStream::new(runs) {
         sessions.push(s?);
     }
     let raw = sessions.len();
@@ -479,8 +474,8 @@ mod tests {
             spilled.spill_errors()
         );
         assert!(spilled.sealed_segments().len() > 10);
-        let a = Dataset::assemble(ram).expect("in-RAM assemble");
-        let b = Dataset::assemble(spilled).expect("spilled assemble");
+        let a = Dataset::join(ram).expect("in-RAM join");
+        let b = Dataset::join(spilled).expect("spilled join");
         assert_eq!(a.sessions.len(), b.sessions.len());
         for (x, y) in a.sessions.iter().zip(&b.sessions) {
             assert_eq!(x.meta.session, y.meta.session);

@@ -3,7 +3,7 @@
 //! A segment holds a sorted run of *paired* `(PlayerChunkRecord,
 //! CdnChunkRecord)` rows — the engine emits both halves of every chunk, so
 //! pairing them at spill time keeps the join keys stored once and makes the
-//! orphan checks of `Dataset::assemble` trivially true for spilled data.
+//! orphan checks of `Dataset::join` trivially true for spilled data.
 //!
 //! On disk a segment is:
 //!

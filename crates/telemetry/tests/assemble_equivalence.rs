@@ -1,4 +1,4 @@
-//! Property: the indexed fast-path join behind [`Dataset::assemble`] is
+//! Property: the indexed fast-path join behind [`Dataset::join`] is
 //! observationally identical to the naive hash-join reference
 //! ([`Dataset::join_reference`]) on every input — well-formed engine
 //! output, shuffled replays, aborted sessions, and malformed sinks alike.
@@ -131,7 +131,7 @@ fn twin_sinks(
     (a, b)
 }
 
-/// Assert `assemble` ≡ `join_reference` on identical sinks. Datasets are
+/// Assert `join` ≡ `join_reference` on identical sinks. Datasets are
 /// compared via their serialized form (full structural equality, no
 /// hand-picked fields); errors must match exactly.
 fn assert_equivalent(
@@ -140,7 +140,7 @@ fn assert_equivalent(
     cdns: &[CdnChunkRecord],
 ) {
     let (fast_sink, ref_sink) = twin_sinks(metas, players, cdns);
-    let fast = Dataset::assemble(fast_sink);
+    let fast = Dataset::join(fast_sink);
     let reference = Dataset::join_reference(ref_sink);
     match (fast, reference) {
         (Ok(f), Ok(r)) => {
@@ -150,7 +150,7 @@ fn assert_equivalent(
         }
         (Err(f), Err(r)) => assert_eq!(f, r, "errors diverge"),
         (f, r) => panic!(
-            "outcomes diverge: assemble={:?} reference={:?}",
+            "outcomes diverge: join={:?} reference={:?}",
             f.map(|d| d.sessions.len()),
             r.map(|d| d.sessions.len())
         ),

@@ -3,12 +3,15 @@
 //! error.
 
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use streamlab_net::TcpInfo;
 use streamlab_sim::{SimDuration, SimTime};
+use streamlab_supervisor::Storage;
 use streamlab_telemetry::records::{
     CacheOutcome, CdnChunkRecord, ChunkTruth, PlayerChunkRecord, SessionMeta,
 };
-use streamlab_telemetry::{Dataset, JoinError, TelemetrySink};
+use streamlab_telemetry::{Dataset, JoinError, SpillSpec, TelemetrySink};
 use streamlab_workload::{
     AccessClass, Browser, ChunkIndex, GeoPoint, OrgKind, Os, PopId, PrefixId, Region, ServerId,
     SessionId, VideoId,
@@ -87,6 +90,48 @@ fn cdn(id: u64, c: u32) -> CdnChunkRecord {
             segs_out_total: 1000,
             mss: 1460,
         }],
+    }
+}
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// A fresh spill directory per case so parallel cases never share
+/// segment files.
+fn scratch() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "streamlab-join-props-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// How a shard's sink holds its records when the join takes it as a run:
+/// `0` all in RAM; `1` spilling every 4 rows and sealed, so every row is
+/// in a segment; `2` spilling every 4 rows but never sealed, so the rows
+/// past the last flush stay in RAM.
+fn shard_sink(mode: u8, dir: &std::path::Path, shard: u32) -> TelemetrySink {
+    if mode == 0 {
+        return TelemetrySink::new();
+    }
+    TelemetrySink::with_spill(
+        0,
+        SpillSpec {
+            dir: dir.to_path_buf(),
+            threshold: 4,
+            shard,
+            storage: Storage::real(),
+        },
+    )
+}
+
+/// Seal the shard sinks whose mode asks for it (see [`shard_sink`]).
+fn seal(shards: &mut [TelemetrySink], modes: &[u8]) {
+    for (sink, &mode) in shards.iter_mut().zip(modes) {
+        if mode == 1 {
+            sink.seal();
+        }
     }
 }
 
@@ -208,21 +253,25 @@ proptest! {
 
     /// The invariant the sharded simulation engine rests on: splitting the
     /// session set into per-shard sinks (any assignment of sessions to
-    /// shards, absorbed back in any shard order) must reproduce the
-    /// unpartitioned join exactly — same sessions, same per-session chunk
-    /// ordering, same total request count.
+    /// shards, each held in RAM, sealed into segments, or partly both,
+    /// taken as runs in either shard order) must reproduce the
+    /// unpartitioned in-RAM join exactly — same dataset bytes, same
+    /// per-session chunk ordering, same total request count.
     #[test]
     fn any_partition_of_sessions_joins_identically(
         sessions in proptest::collection::vec((1u32..12, 0u8..8), 1..30),
+        modes in proptest::collection::vec(0u8..3, 8),
         reverse_merge in any::<bool>(),
     ) {
         let n_shards = 1 + sessions.iter().map(|&(_, s)| s).max().unwrap_or(0) as usize;
+        let dir = scratch();
 
         // Unpartitioned reference: every record in one sink.
         let mut reference = TelemetrySink::new();
         // Partitioned: each session's records go to its assigned shard.
-        let mut shards: Vec<TelemetrySink> =
-            (0..n_shards).map(|_| TelemetrySink::new()).collect();
+        let mut shards: Vec<TelemetrySink> = (0..n_shards)
+            .map(|i| shard_sink(modes[i], &dir, i as u32))
+            .collect();
         for (id, &(chunks, shard)) in sessions.iter().enumerate() {
             let id = id as u64;
             reference.session(meta(id, false));
@@ -235,19 +284,18 @@ proptest! {
             }
         }
 
-        let mut merged = TelemetrySink::new();
+        seal(&mut shards, &modes);
         if reverse_merge {
-            for s in shards.into_iter().rev() {
-                merged.absorb(s);
-            }
-        } else {
-            for s in shards {
-                merged.absorb(s);
-            }
+            shards.reverse();
         }
 
         let expected = Dataset::join(reference).expect("reference join");
-        let got = Dataset::join(merged).expect("merged join");
+        let got = Dataset::join_runs(shards).expect("run join");
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(
+            serde_json::to_string(&got).expect("serialize"),
+            serde_json::to_string(&expected).expect("serialize")
+        );
 
         prop_assert_eq!(got.sessions.len(), expected.sessions.len());
         prop_assert_eq!(got.chunk_count(), expected.chunk_count());
@@ -264,5 +312,44 @@ proptest! {
                 prop_assert_eq!(ca.player.requested_at, cb.player.requested_at);
             }
         }
+    }
+
+    /// A `(session, chunk)` key held by two runs is a duplicate record,
+    /// however each run holds its rows: the run join must report
+    /// `DuplicateKey` for it, as the reference join does on one sink
+    /// holding every record.
+    #[test]
+    fn a_key_in_two_runs_is_a_duplicate(
+        sessions in proptest::collection::vec(1u32..8, 1..12),
+        dup_session in any::<u64>(),
+        dup_chunk in any::<u32>(),
+        modes in proptest::collection::vec(0u8..3, 2),
+    ) {
+        let s = (dup_session % sessions.len() as u64) as usize;
+        let c = dup_chunk % sessions[s];
+        let dir = scratch();
+        let mut reference = TelemetrySink::new();
+        let mut shards = vec![shard_sink(modes[0], &dir, 0), shard_sink(modes[1], &dir, 1)];
+        for (id, &chunks) in sessions.iter().enumerate() {
+            let id = id as u64;
+            for sink in [&mut reference, &mut shards[0]] {
+                sink.session(meta(id, false));
+                for c in 0..chunks {
+                    sink.player_chunk(player(id, c));
+                    sink.cdn_chunk(cdn(id, c));
+                }
+            }
+        }
+        // The second run holds one more copy of a chunk the first has.
+        for sink in [&mut reference, &mut shards[1]] {
+            sink.player_chunk(player(s as u64, c));
+            sink.cdn_chunk(cdn(s as u64, c));
+        }
+        seal(&mut shards, &modes);
+
+        let want = JoinError::DuplicateKey(SessionId(s as u64), ChunkIndex(c));
+        prop_assert_eq!(Dataset::join_reference(reference).expect_err("duplicate"), want.clone());
+        prop_assert_eq!(Dataset::join_runs(shards).expect_err("duplicate"), want);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,8 +8,8 @@
 //!    `write_segment` → `read_segment` unchanged.
 //! 2. Streaming assembly is observationally identical to the in-RAM
 //!    joins: a spilled sink drained through [`SessionStream`] or joined
-//!    through [`Dataset::assemble`] produces the same dataset bytes (or
-//!    the same [`JoinError`]) as `assemble` and `join_reference` on an
+//!    through [`Dataset::join`] produces the same dataset bytes (or
+//!    the same [`JoinError`]) as `join` and `join_reference` on an
 //!    identical in-RAM sink — over engine-shaped, shuffled, and faulted
 //!    streams alike. (Error parity is only guaranteed for single-violation
 //!    streams: with several violations the paths may legitimately detect
@@ -305,7 +305,7 @@ fn spilled_sink(
 /// return, stopping at the first violation like they do.
 fn drain_stream(sink: TelemetrySink) -> Result<Dataset, JoinError> {
     let mut sessions = Vec::new();
-    for item in SessionStream::new(sink) {
+    for item in SessionStream::new(vec![sink]) {
         sessions.push(item?);
     }
     let raw = sessions.len();
@@ -326,8 +326,8 @@ fn outcome_json(label: &str, r: &Result<Dataset, JoinError>) -> Result<String, S
     }
 }
 
-/// Assert the four join paths — in-RAM `assemble`, `join_reference`, a
-/// spilled `assemble`, and a spilled [`SessionStream`] drain — agree on
+/// Assert the four join paths — in-RAM `join`, `join_reference`, a
+/// spilled `join`, and a spilled [`SessionStream`] drain — agree on
 /// identical record streams: same dataset bytes for Ok, same error for
 /// Err.
 fn assert_spill_equivalent(
@@ -337,10 +337,10 @@ fn assert_spill_equivalent(
     threshold: usize,
 ) {
     let reference = Dataset::join_reference(in_ram_sink(metas, players, cdns));
-    let fast = Dataset::assemble(in_ram_sink(metas, players, cdns));
+    let fast = Dataset::join(in_ram_sink(metas, players, cdns));
     let (sink_a, dir_a) = spilled_sink(metas, players, cdns, threshold);
     let spilled_segments = sink_a.sealed_segments().len();
-    let spilled = Dataset::assemble(sink_a);
+    let spilled = Dataset::join(sink_a);
     let (sink_b, dir_b) = spilled_sink(metas, players, cdns, threshold);
     let streamed = drain_stream(sink_b);
 
@@ -533,7 +533,7 @@ fn crash_at_every_seal_failpoint_degrades_without_data_loss() {
         clean.sealed_segments().len()
     );
     assert!(clean.spill_errors().is_empty());
-    let got = serde_json::to_string(&Dataset::assemble(clean).expect("clean spilled join"))
+    let got = serde_json::to_string(&Dataset::join(clean).expect("clean spilled join"))
         .expect("serialize");
     assert_eq!(got, want, "clean spilled join diverges from reference");
     std::fs::remove_dir_all(&clean_dir).ok();
@@ -574,8 +574,8 @@ fn crash_at_every_seal_failpoint_degrades_without_data_loss() {
         }
 
         // Degrade, don't die: the join still sees every record.
-        let ds = Dataset::assemble(sink)
-            .unwrap_or_else(|e| panic!("crash at op {at}: join failed: {e:?}"));
+        let ds =
+            Dataset::join(sink).unwrap_or_else(|e| panic!("crash at op {at}: join failed: {e:?}"));
         let got = serde_json::to_string(&ds).expect("serialize");
         assert_eq!(
             got, want,

@@ -14,17 +14,26 @@ fn run_serialized(seed: u64, threads: usize) -> (String, String) {
     (dataset, servers)
 }
 
+/// Traced, as `--trace-events` runs: each shard's events in its own time
+/// order, shards concatenated in canonical order. The shards are the same
+/// at every thread count, so the JSONL bytes are too.
+const TRACED: ObsOptions = ObsOptions {
+    trace: true,
+    spans: false,
+};
+
 /// Run instrumented and serialize the deterministic metrics block — the
 /// exact bytes `streamlab run --metrics-out` writes (modulo pretty-printing,
-/// which is itself deterministic).
-fn run_metrics_serialized(seed: u64, threads: usize) -> String {
+/// which is itself deterministic) — and the event trace.
+fn run_metrics_serialized(seed: u64, threads: usize) -> (String, String) {
     let mut cfg = SimulationConfig::tiny(seed);
     cfg.threads = threads;
-    let out = Simulation::new(cfg)
-        .run_observed(ObsOptions::default())
-        .expect("run");
+    let out = Simulation::new(cfg).run_observed(TRACED).expect("run");
     let metrics = out.metrics.expect("observed run must carry metrics");
-    serde_json::to_string(&metrics.sim).expect("serialize sim metrics")
+    (
+        serde_json::to_string(&metrics.sim).expect("serialize sim metrics"),
+        out.trace_lines.expect("trace requested").join("\n"),
+    )
 }
 
 #[test]
@@ -52,12 +61,17 @@ fn parallel_runs_are_reproducible_run_to_run() {
 
 #[test]
 fn sim_metrics_are_byte_identical_across_thread_counts() {
-    let metrics_1 = run_metrics_serialized(2016, 1);
+    let (metrics_1, trace_1) = run_metrics_serialized(2016, 1);
+    assert!(trace_1.contains("ShardMerge"), "one thread runs shards too");
     for threads in [2, 4, 8] {
-        let metrics_n = run_metrics_serialized(2016, threads);
+        let (metrics_n, trace_n) = run_metrics_serialized(2016, threads);
         assert!(
             metrics_1 == metrics_n,
             "sim metrics bytes diverge between threads=1 and threads={threads}"
+        );
+        assert!(
+            trace_1 == trace_n,
+            "event trace diverges between threads=1 and threads={threads}"
         );
     }
 }
@@ -85,20 +99,22 @@ fn faulted_config(seed: u64, threads: usize) -> SimulationConfig {
     cfg
 }
 
-fn run_faulted_serialized(seed: u64, threads: usize) -> (String, String, String) {
+fn run_faulted_serialized(seed: u64, threads: usize) -> (String, String, String, String) {
     let out = Simulation::new(faulted_config(seed, threads))
-        .run_observed(ObsOptions::default())
+        .run_observed(TRACED)
         .expect("faulted run");
     let dataset = serde_json::to_string(&out.dataset).expect("serialize dataset");
     let servers = serde_json::to_string(&out.servers).expect("serialize servers");
     let metrics =
         serde_json::to_string(&out.metrics.expect("metrics").sim).expect("serialize sim metrics");
-    (dataset, servers, metrics)
+    let trace = out.trace_lines.expect("trace requested").join("\n");
+    (dataset, servers, metrics, trace)
 }
 
 #[test]
 fn faulted_runs_are_byte_identical_across_thread_counts() {
-    let (dataset_1, servers_1, metrics_1) = run_faulted_serialized(2016, 1);
+    let (dataset_1, servers_1, metrics_1, trace_1) = run_faulted_serialized(2016, 1);
+    assert!(trace_1.contains("ShardMerge"), "one thread runs shards too");
     // The scenario actually fired: retries, failovers and restarts all
     // show up in the deterministic metrics block.
     for key in ["server_restarts", "request_retries", "failovers"] {
@@ -109,7 +125,7 @@ fn faulted_runs_are_byte_identical_across_thread_counts() {
         );
     }
     for threads in [2, 4, 8] {
-        let (dataset_n, servers_n, metrics_n) = run_faulted_serialized(2016, threads);
+        let (dataset_n, servers_n, metrics_n, trace_n) = run_faulted_serialized(2016, threads);
         assert!(
             dataset_1 == dataset_n,
             "faulted dataset bytes diverge between threads=1 and threads={threads}"
@@ -121,6 +137,10 @@ fn faulted_runs_are_byte_identical_across_thread_counts() {
         assert!(
             metrics_1 == metrics_n,
             "faulted sim metrics diverge between threads=1 and threads={threads}"
+        );
+        assert!(
+            trace_1 == trace_n,
+            "faulted event trace diverges between threads=1 and threads={threads}"
         );
     }
 }
