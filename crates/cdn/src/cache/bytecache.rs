@@ -1,150 +1,172 @@
 //! A byte-capacity cache with pluggable eviction.
 
 use super::{EvictionPolicy, ObjectKey};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
-/// Slab sentinel for "no node".
+/// Slot sentinel for "no slot".
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
-struct Entry {
-    size: u64,
-    /// Ordering key currently held in the `Tree` index (frequency or scaled
-    /// GD priority plus tie-break). Unused by `List` policies.
-    order_key: (u64, u64),
-    /// Slab index of this entry's node in the `List` index. Unused by
-    /// `Tree` policies.
-    node: u32,
-    pinned: bool,
-}
-
-/// Intrusive doubly-linked recency list over a slab, for the queue-shaped
-/// policies (LRU / FIFO): head = oldest = victim side, tail = newest.
-/// Touch, insert and evict are all O(1), versus O(log n) `BTreeSet` churn.
-#[derive(Debug, Clone)]
-struct OrderList {
-    nodes: Vec<ListNode>,
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-}
-
-#[derive(Debug, Clone)]
-struct ListNode {
+/// One cached object, stored once. `prev`/`next` link the LRU/FIFO queue
+/// (head = oldest = victim side, tail = newest); a free slot chains the
+/// free list through `next`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     key: ObjectKey,
+    size: u64,
     prev: u32,
     next: u32,
 }
 
-impl OrderList {
-    fn new() -> Self {
-        OrderList {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+/// Smallest non-empty index table.
+const MIN_BUCKETS: usize = 8;
+
+/// The index's hash tag for `key`: the high half of its FxHash, whose
+/// bits are the well-mixed ones.
+fn tag_of(key: &ObjectKey) -> u32 {
+    let mut h = FxHasher::default();
+    key.hash(&mut h);
+    (h.finish() >> 32) as u32
+}
+
+/// An index entry: `tag << 32 | (slot + 1)`, so 0 marks an empty bucket.
+fn entry(tag: u32, slot: u32) -> u64 {
+    (u64::from(tag) << 32) | u64::from(slot + 1)
+}
+
+fn tag_in(entry: u64) -> u32 {
+    (entry >> 32) as u32
+}
+
+fn slot_of(entry: u64) -> u32 {
+    entry as u32 - 1
+}
+
+/// Key → slot, by linear probing over tagged entries. The home bucket
+/// comes from the tag's high bits, so growth and backward-shift deletion
+/// move entries without reading the slab, and a probe reads a slot only
+/// when the tag matches. The load never exceeds 7/8, so every probe
+/// meets an empty bucket.
+#[derive(Debug, Clone, Default)]
+struct Index {
+    buckets: Vec<u64>,
+    len: usize,
+}
+
+impl Index {
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
     }
 
-    fn push_back(&mut self, key: ObjectKey) -> u32 {
-        let node = ListNode {
-            key,
-            prev: self.tail,
-            next: NIL,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
+    /// The home bucket of `tag`: its top `log2(buckets)` bits.
+    fn home(&self, tag: u32) -> usize {
+        ((u64::from(tag) * self.buckets.len() as u64) >> 32) as usize
+    }
+
+    /// The bucket and slot holding `key`, if present.
+    fn find(&self, slots: &[Slot], key: &ObjectKey, tag: u32) -> Option<(usize, u32)> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut i = self.home(tag);
+        loop {
+            let e = self.buckets[i];
+            if e == 0 {
+                return None;
             }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
+            if tag_in(e) == tag && slots[slot_of(e) as usize].key == *key {
+                return Some((i, slot_of(e)));
             }
-        };
-        if self.tail != NIL {
-            self.nodes[self.tail as usize].next = idx;
-        } else {
-            self.head = idx;
+            i = (i + 1) & self.mask();
         }
-        self.tail = idx;
-        idx
     }
 
-    fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next)
-        };
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else {
-            self.head = next;
+    /// The bucket holding exactly `entry`, which must be present.
+    fn position(&self, entry: u64) -> usize {
+        let mut i = self.home(tag_in(entry));
+        while self.buckets[i] != entry {
+            i = (i + 1) & self.mask();
         }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.free.push(idx);
+        i
     }
 
-    fn move_to_back(&mut self, idx: u32) {
-        if self.tail == idx {
-            return;
+    fn insert(&mut self, entry: u64) {
+        if (self.len + 1) * 8 > self.buckets.len() * 7 {
+            let n = (self.buckets.len() * 2).max(MIN_BUCKETS);
+            let old = std::mem::replace(&mut self.buckets, vec![0; n]);
+            for e in old.into_iter().filter(|&e| e != 0) {
+                self.place(e);
+            }
         }
-        let key = self.nodes[idx as usize].key;
-        self.unlink(idx);
-        self.free.pop(); // reuse the slot we just freed
-        let node = ListNode {
-            key,
-            prev: self.tail,
-            next: NIL,
-        };
-        self.nodes[idx as usize] = node;
-        if self.tail != NIL {
-            self.nodes[self.tail as usize].next = idx;
-        } else {
-            self.head = idx;
+        self.place(entry);
+        self.len += 1;
+    }
+
+    fn place(&mut self, entry: u64) {
+        let mut i = self.home(tag_in(entry));
+        while self.buckets[i] != 0 {
+            i = (i + 1) & self.mask();
         }
-        self.tail = idx;
+        self.buckets[i] = entry;
+    }
+
+    /// Empty bucket `hole`, shifting the rest of its cluster back so that
+    /// every entry stays reachable from its home.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let e = self.buckets[j];
+            if e == 0 {
+                break;
+            }
+            if (j.wrapping_sub(self.home(tag_in(e))) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = e;
+                hole = j;
+            }
+        }
+        self.buckets[hole] = 0;
+        self.len -= 1;
     }
 
     fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.buckets.fill(0);
+        self.len = 0;
     }
-}
-
-/// The eviction-order index. LRU and FIFO only ever need queue order, so
-/// they get the O(1) list; Perfect-LFU and GD-Size order by a computed
-/// priority and keep the `BTreeSet`. Both indices yield the exact same
-/// victim sequence the old all-`BTreeSet` representation produced: for
-/// LRU/FIFO the old order key was a strictly monotone counter, so set
-/// order ≡ insertion/touch order ≡ list order.
-#[derive(Debug, Clone)]
-enum OrderIndex {
-    Tree(BTreeSet<((u64, u64), ObjectKey)>),
-    List(OrderList),
 }
 
 /// A byte-capacity cache over [`ObjectKey`]s.
 ///
-/// All four policies share one entry table (an `FxHashMap` — see the
-/// determinism note in `rustc-hash`); the policy decides the shape of the
-/// eviction-order index (`OrderIndex`). Eviction pops the lowest-priority
-/// (or oldest) entry, skipping pinned entries.
+/// Every object lives once, in a slot of one slab, found through the
+/// tagged index. LRU and FIFO order the slots by the queue threaded
+/// through them; Perfect-LFU and GD-Size by a `BTreeSet` of computed
+/// priorities. Eviction pops the lowest-priority (or oldest) entry,
+/// skipping pinned entries. Where a key sits in the slab or the index
+/// never decides what is evicted.
 #[derive(Debug, Clone)]
 pub struct ByteCache {
     policy: EvictionPolicy,
     capacity: u64,
     used: u64,
-    entries: FxHashMap<ObjectKey, Entry>,
-    order: OrderIndex,
-    /// Monotone counter used for priority ties in the `Tree` index.
+    slots: Vec<Slot>,
+    /// Head of the free-slot chain.
+    free: u32,
+    index: Index,
+    /// The LRU/FIFO queue's ends.
+    head: u32,
+    tail: u32,
+    /// Perfect-LFU/GD-Size eviction order: `((priority, tick), slot)`.
+    /// Ticks are unique, so the slot id never breaks a tie.
+    tree: BTreeSet<((u64, u64), u32)>,
+    /// Each slot's key in `tree`; stays empty under LRU/FIFO.
+    order_keys: Vec<(u64, u64)>,
+    /// One pin bit per slot; stays empty until something is pinned.
+    pins: Vec<u64>,
+    /// Monotone counter used for priority ties in `tree`.
     tick: u64,
     /// Perfect-LFU frequency table (survives eviction).
     freq: FxHashMap<ObjectKey, u64>,
@@ -161,18 +183,18 @@ const GD_SCALE: f64 = 1.0e12;
 impl ByteCache {
     /// An empty cache of `capacity` bytes under `policy`.
     pub fn new(policy: EvictionPolicy, capacity: u64) -> Self {
-        let order = match policy {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => OrderIndex::List(OrderList::new()),
-            EvictionPolicy::PerfectLfu | EvictionPolicy::GdSize => {
-                OrderIndex::Tree(BTreeSet::new())
-            }
-        };
         ByteCache {
             policy,
             capacity,
             used: 0,
-            entries: FxHashMap::default(),
-            order,
+            slots: Vec::new(),
+            free: NIL,
+            index: Index::default(),
+            head: NIL,
+            tail: NIL,
+            tree: BTreeSet::new(),
+            order_keys: Vec::new(),
+            pins: Vec::new(),
             tick: 0,
             freq: FxHashMap::default(),
             gd_inflation: 0,
@@ -193,12 +215,12 @@ impl ByteCache {
 
     /// Number of objects stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.len == 0
     }
 
     /// Lifetime (hits, misses) counters from `lookup`.
@@ -206,48 +228,72 @@ impl ByteCache {
         (self.hits, self.misses)
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    fn queued(&self) -> bool {
+        matches!(self.policy, EvictionPolicy::Lru | EvictionPolicy::Fifo)
     }
 
-    /// Priority key for the `Tree` index policies.
-    fn order_key_for(&mut self, key: ObjectKey, size: u64) -> (u64, u64) {
-        match self.policy {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => unreachable!("list policies"),
-            EvictionPolicy::PerfectLfu => {
-                let f = *self.freq.get(&key).unwrap_or(&0);
-                (f, self.next_tick())
-            }
+    fn find(&self, key: &ObjectKey) -> Option<(usize, u32)> {
+        self.index.find(&self.slots, key, tag_of(key))
+    }
+
+    fn pinned(&self, slot: u32) -> bool {
+        self.pins
+            .get(slot as usize / 64)
+            .is_some_and(|w| (w >> (slot % 64)) & 1 == 1)
+    }
+
+    /// Priority key of `slot` for the `tree` policies.
+    fn order_key_for(&mut self, slot: u32) -> (u64, u64) {
+        let Slot { key, size, .. } = self.slots[slot as usize];
+        let priority = match self.policy {
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => unreachable!("queue policies"),
+            EvictionPolicy::PerfectLfu => self.freq.get(&key).copied().unwrap_or(0),
+            // priority = L + cost/size, with unit cost per object.
             EvictionPolicy::GdSize => {
-                // priority = L + cost/size, with unit cost per object.
-                let prio = self.gd_inflation as f64 + GD_SCALE / size.max(1) as f64;
-                (prio as u64, self.next_tick())
+                (self.gd_inflation as f64 + GD_SCALE / size.max(1) as f64) as u64
             }
+        };
+        self.tick += 1;
+        (priority, self.tick)
+    }
+
+    fn push_back(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.prev = self.tail;
+        s.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            tail => self.slots[tail as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.slots[next as usize].prev = prev,
         }
     }
 
-    fn reorder(&mut self, key: ObjectKey) {
-        if self.policy == EvictionPolicy::Fifo {
-            return; // FIFO ignores accesses
-        }
-        let Some(entry) = self.entries.get(&key) else {
-            return;
-        };
-        match &mut self.order {
-            OrderIndex::List(list) => list.move_to_back(entry.node),
-            OrderIndex::Tree(_) => {
-                let size = entry.size;
-                let old = entry.order_key;
-                let new = self.order_key_for(key, size);
-                let OrderIndex::Tree(tree) = &mut self.order else {
-                    unreachable!()
-                };
-                tree.remove(&(old, key));
-                tree.insert((new, key));
-                if let Some(e) = self.entries.get_mut(&key) {
-                    e.order_key = new;
-                }
+    /// Record an access to `slot` in the eviction order.
+    fn touch(&mut self, slot: u32) {
+        match self.policy {
+            EvictionPolicy::Fifo => {} // FIFO ignores accesses
+            EvictionPolicy::Lru => {
+                self.unlink(slot);
+                self.push_back(slot);
+            }
+            EvictionPolicy::PerfectLfu | EvictionPolicy::GdSize => {
+                let old = self.order_keys[slot as usize];
+                self.tree.remove(&(old, slot));
+                let new = self.order_key_for(slot);
+                self.tree.insert((new, slot));
+                self.order_keys[slot as usize] = new;
             }
         }
     }
@@ -258,19 +304,22 @@ impl ByteCache {
         if self.policy == EvictionPolicy::PerfectLfu {
             *self.freq.entry(key).or_insert(0) += 1;
         }
-        if self.entries.contains_key(&key) {
-            self.hits += 1;
-            self.reorder(key);
-            true
-        } else {
-            self.misses += 1;
-            false
+        match self.find(&key) {
+            Some((_, slot)) => {
+                self.hits += 1;
+                self.touch(slot);
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
         }
     }
 
     /// Presence check without touching stats or ordering.
     pub fn contains(&self, key: ObjectKey) -> bool {
-        self.entries.contains_key(&key)
+        self.find(&key).is_some()
     }
 
     /// Insert `key` (`size` bytes), evicting until it fits. Returns the
@@ -281,8 +330,9 @@ impl ByteCache {
         if size > self.capacity {
             return Vec::new();
         }
-        if self.entries.contains_key(&key) {
-            self.reorder(key);
+        let tag = tag_of(&key);
+        if let Some((_, slot)) = self.index.find(&self.slots, &key, tag) {
+            self.touch(slot);
             return Vec::new();
         }
         let mut evicted = Vec::new();
@@ -292,26 +342,38 @@ impl ByteCache {
                 None => return evicted, // everything pinned; cannot admit
             }
         }
-        let (order_key, node) = match &mut self.order {
-            OrderIndex::List(list) => ((0, 0), list.push_back(key)),
-            OrderIndex::Tree(_) => {
-                let ok = self.order_key_for(key, size);
-                let OrderIndex::Tree(tree) = &mut self.order else {
-                    unreachable!()
-                };
-                tree.insert((ok, key));
-                (ok, NIL)
+        let new = Slot {
+            key,
+            size,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free {
+            NIL => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s < NIL)
+                    .expect("fewer than 2^32 - 1 cached objects");
+                self.slots.push(new);
+                slot
+            }
+            free => {
+                self.free = self.slots[free as usize].next;
+                self.slots[free as usize] = new;
+                free
             }
         };
-        self.entries.insert(
-            key,
-            Entry {
-                size,
-                order_key,
-                node,
-                pinned: false,
-            },
-        );
+        self.index.insert(entry(tag, slot));
+        if self.queued() {
+            self.push_back(slot);
+        } else {
+            let order_key = self.order_key_for(slot);
+            self.tree.insert((order_key, slot));
+            if self.order_keys.len() <= slot as usize {
+                self.order_keys.resize(slot as usize + 1, (0, 0));
+            }
+            self.order_keys[slot as usize] = order_key;
+        }
         self.used += size;
         evicted
     }
@@ -321,73 +383,151 @@ impl ByteCache {
     /// history survive — they model knowledge that outlives a restart —
     /// but pins are lost with the entries that held them.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        match &mut self.order {
-            OrderIndex::List(list) => list.clear(),
-            OrderIndex::Tree(tree) => tree.clear(),
-        }
+        self.slots.clear();
+        self.free = NIL;
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.tree.clear();
+        self.order_keys.clear();
+        self.pins.clear();
         self.used = 0;
     }
 
     /// Pin `key` so it is never evicted (used by the "cache the first chunk
     /// of every video" policy). No-op if absent.
     pub fn pin(&mut self, key: ObjectKey) {
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.pinned = true;
+        if let Some((_, slot)) = self.find(&key) {
+            let word = slot as usize / 64;
+            if self.pins.len() <= word {
+                self.pins.resize(word + 1, 0);
+            }
+            self.pins[word] |= 1 << (slot % 64);
         }
     }
 
     /// Remove a specific key (e.g. when promoting between tiers).
     pub fn remove(&mut self, key: ObjectKey) -> bool {
-        if let Some(e) = self.entries.remove(&key) {
-            match &mut self.order {
-                OrderIndex::List(list) => list.unlink(e.node),
-                OrderIndex::Tree(tree) => {
-                    tree.remove(&(e.order_key, key));
-                }
+        match self.find(&key) {
+            Some((bucket, slot)) => {
+                self.release(bucket, slot);
+                true
             }
-            self.used -= e.size;
-            true
-        } else {
-            false
+            None => false,
         }
+    }
+
+    /// Take `slot`, found at index `bucket`, out of the index and the
+    /// eviction order and onto the free list.
+    fn release(&mut self, bucket: usize, slot: u32) {
+        self.index.remove_at(bucket);
+        if self.queued() {
+            self.unlink(slot);
+        } else {
+            self.tree.remove(&(self.order_keys[slot as usize], slot));
+        }
+        if let Some(w) = self.pins.get_mut(slot as usize / 64) {
+            *w &= !(1 << (slot % 64));
+        }
+        let s = &mut self.slots[slot as usize];
+        self.used -= s.size;
+        s.next = self.free;
+        self.free = slot;
     }
 
     /// Evict the policy's victim, skipping pinned entries.
     fn pop_victim(&mut self) -> Option<(ObjectKey, u64)> {
-        let key = match &self.order {
-            OrderIndex::List(list) => {
-                let mut idx = list.head;
-                loop {
-                    if idx == NIL {
-                        return None;
-                    }
-                    let k = list.nodes[idx as usize].key;
-                    if !self.entries.get(&k).map(|e| e.pinned).unwrap_or(false) {
-                        break k;
-                    }
-                    idx = list.nodes[idx as usize].next;
-                }
+        let slot = if self.queued() {
+            let mut slot = self.head;
+            while slot != NIL && self.pinned(slot) {
+                slot = self.slots[slot as usize].next;
             }
-            OrderIndex::Tree(tree) => {
-                let (_, k) = *tree
-                    .iter()
-                    .find(|(_, k)| !self.entries.get(k).map(|e| e.pinned).unwrap_or(false))?;
-                k
+            if slot == NIL {
+                return None; // everything pinned
             }
+            slot
+        } else {
+            let (_, slot) = *self.tree.iter().find(|(_, s)| !self.pinned(*s))?;
+            slot
         };
-        let e = self.entries.remove(&key).expect("order/entries in sync");
-        match &mut self.order {
-            OrderIndex::List(list) => list.unlink(e.node),
-            OrderIndex::Tree(tree) => {
-                tree.remove(&(e.order_key, key));
-            }
-        }
-        self.used -= e.size;
+        let Slot { key, size, .. } = self.slots[slot as usize];
         if self.policy == EvictionPolicy::GdSize {
             // GD-Size: the evicted priority becomes the new inflation L.
-            self.gd_inflation = e.order_key.0;
+            self.gd_inflation = self.order_keys[slot as usize].0;
         }
-        Some((key, e.size))
+        self.release(self.index.position(entry(tag_of(&key), slot)), slot);
+        Some((key, size))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamlab_workload::{ChunkIndex, VideoId};
+
+    /// `n` slots whose keys differ in one field at a time: chunk,
+    /// bitrate, then video.
+    fn slab(n: u32) -> Vec<Slot> {
+        (0..n)
+            .map(|i| Slot {
+                key: ObjectKey {
+                    video: VideoId(u64::from(i / 4)),
+                    chunk: ChunkIndex(i % 2),
+                    bitrate_kbps: 1050 + i % 4 / 2,
+                },
+                size: 1,
+                prev: NIL,
+                next: NIL,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equal_tags_are_told_apart_by_key() {
+        let slots = slab(5);
+        let mut index = Index::default();
+        for s in 0..4 {
+            index.insert(entry(7, s));
+        }
+        for s in 0..4 {
+            let found = index.find(&slots, &slots[s as usize].key, 7);
+            assert_eq!(found, Some((index.position(entry(7, s)), s)));
+        }
+        assert_eq!(index.find(&slots, &slots[4].key, 7), None);
+        index.remove_at(index.position(entry(7, 0)));
+        assert_eq!(index.find(&slots, &slots[0].key, 7), None);
+        assert_eq!(index.find(&slots, &slots[2].key, 7).map(|f| f.1), Some(2));
+    }
+
+    #[test]
+    fn clusters_wrap_past_the_end_and_close_up_on_delete() {
+        // Tags with their top three bits set start at the last of eight
+        // buckets, so a cluster of five wraps round to bucket 3.
+        let slots = slab(6);
+        let mut index = Index::default();
+        for s in 0..5 {
+            index.insert(entry(u32::MAX - s, s));
+        }
+        // Bucket 4 is this entry's home (top bits 100): it ends the
+        // cluster but must not shift.
+        index.insert(entry(0x8000_0000, 5));
+        assert_eq!(index.buckets.len(), 8);
+        assert_eq!(index.buckets[7], entry(u32::MAX, 0));
+        assert_eq!(index.buckets[3], entry(u32::MAX - 4, 4));
+        index.remove_at(7);
+        assert_eq!(index.buckets[7], entry(u32::MAX - 1, 1));
+        assert_eq!(index.buckets[2], entry(u32::MAX - 4, 4));
+        assert_eq!(index.buckets[3], 0);
+        assert_eq!(index.buckets[4], entry(0x8000_0000, 5));
+        for s in 1..5 {
+            let found = index.find(&slots, &slots[s as usize].key, u32::MAX - s);
+            assert_eq!(found.map(|f| f.1), Some(s));
+        }
+        // The seventh entry fits in eight buckets; the eighth doubles them.
+        index.insert(entry(1, 0));
+        index.insert(entry(2, 3));
+        assert_eq!((index.buckets.len(), index.len), (8, 7));
+        index.insert(entry(3, 2));
+        assert_eq!((index.buckets.len(), index.len), (16, 8));
     }
 }

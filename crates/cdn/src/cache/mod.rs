@@ -130,6 +130,24 @@ mod tests {
     }
 
     #[test]
+    fn pins_leave_with_their_entries() {
+        for drop_pinned in [
+            |c: &mut ByteCache| assert!(c.remove(key(1, 0))),
+            |c: &mut ByteCache| c.clear(),
+        ] {
+            let mut c = ByteCache::new(EvictionPolicy::Lru, 300);
+            c.insert(key(1, 0), 100);
+            c.pin(key(1, 0));
+            drop_pinned(&mut c);
+            c.insert(key(2, 0), 100); // may reuse key 1's storage
+            c.insert(key(3, 0), 100);
+            c.insert(key(4, 0), 100);
+            let evicted = c.insert(key(5, 0), 100);
+            assert_eq!(evicted, vec![(key(2, 0), 100)], "a dropped pin lingered");
+        }
+    }
+
+    #[test]
     fn reinsert_refreshes_instead_of_duplicating() {
         let mut c = ByteCache::new(EvictionPolicy::Lru, 300);
         c.insert(key(1, 0), 100);

@@ -1,8 +1,11 @@
 //! Property-based tests for the cache layer: under arbitrary request
 //! sequences, every policy preserves the capacity and accounting
-//! invariants.
+//! invariants and evicts exactly what a naive reference model evicts, and
+//! LRU keeps the inclusion property of a stack algorithm.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::HashMap;
 use streamlab_cdn::{ByteCache, EvictionPolicy, ObjectKey, TieredCache, TieredCacheConfig};
 use streamlab_workload::{ChunkIndex, VideoId};
 
@@ -14,21 +17,44 @@ fn key(v: u8, c: u8) -> ObjectKey {
     }
 }
 
+/// Key `k` of a dense key space: video `k / 8`, chunk `k % 8`.
+fn wide_key(k: u32) -> ObjectKey {
+    ObjectKey {
+        video: VideoId(u64::from(k / 8)),
+        chunk: ChunkIndex(k % 8),
+        bitrate_kbps: 1050,
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
-    Lookup(u8, u8),
-    Insert(u8, u8, u64),
-    Remove(u8, u8),
-    Pin(u8, u8),
+    Lookup(ObjectKey),
+    Insert(ObjectKey, u64),
+    Remove(ObjectKey),
+    Pin(ObjectKey),
+    Clear,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u8>(), 0u8..8).prop_map(|(v, c)| Op::Lookup(v % 32, c)),
-        (any::<u8>(), 0u8..8, 1u64..5_000).prop_map(|(v, c, s)| Op::Insert(v % 32, c, s)),
-        (any::<u8>(), 0u8..8).prop_map(|(v, c)| Op::Remove(v % 32, c)),
-        (any::<u8>(), 0u8..8).prop_map(|(v, c)| Op::Pin(v % 32, c)),
+        (any::<u8>(), 0u8..8).prop_map(|(v, c)| Op::Lookup(key(v % 32, c))),
+        (any::<u8>(), 0u8..8, 1u64..5_000).prop_map(|(v, c, s)| Op::Insert(key(v % 32, c), s)),
+        (any::<u8>(), 0u8..8).prop_map(|(v, c)| Op::Remove(key(v % 32, c))),
+        (any::<u8>(), 0u8..8).prop_map(|(v, c)| Op::Pin(key(v % 32, c))),
     ]
+}
+
+/// Many small objects (1–64 B) over 4,000 keys, with the occasional pin
+/// and restart: the cache's index grows through several doublings, wraps
+/// around its end and shifts entries back on every delete.
+fn small_object_op() -> impl Strategy<Value = Op> {
+    (0u32..2_000, 0u32..4_000, 1u64..=64).prop_map(|(pick, k, size)| match pick {
+        0 => Op::Clear,
+        1..=40 => Op::Pin(wide_key(k)),
+        41..=240 => Op::Remove(wide_key(k)),
+        241..=1_000 => Op::Lookup(wide_key(k)),
+        _ => Op::Insert(wide_key(k), size),
+    })
 }
 
 fn policies() -> impl Strategy<Value = EvictionPolicy> {
@@ -40,6 +66,193 @@ fn policies() -> impl Strategy<Value = EvictionPolicy> {
     ]
 }
 
+struct ModelEntry {
+    key: ObjectKey,
+    size: u64,
+    /// The policy's eviction order: the lowest unpinned stamp goes first.
+    stamp: (u64, u64),
+    pinned: bool,
+}
+
+/// A naive reference for `ByteCache`: a `Vec` of entries, each stamped
+/// with its place in the policy's eviction order.
+///
+/// - LRU: `(0, t)`, restamped on every hit and re-insert.
+/// - FIFO: `(0, t)`, stamped on insert only.
+/// - Perfect-LFU: `(requests for the key so far, t)`, restamped like LRU.
+/// - GD-Size: `(L + 10^12 / size, t)`, restamped like LRU, where L is
+///   the stamp priority of the last victim.
+///
+/// `t` counts stamps, so ties go to the older stamp.
+struct Model {
+    policy: EvictionPolicy,
+    capacity: u64,
+    entries: Vec<ModelEntry>,
+    stamps: u64,
+    requests: HashMap<ObjectKey, u64>,
+    inflation: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl Model {
+    fn new(policy: EvictionPolicy, capacity: u64) -> Model {
+        Model {
+            policy,
+            capacity,
+            entries: Vec::new(),
+            stamps: 0,
+            requests: HashMap::new(),
+            inflation: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn used(&self) -> u64 {
+        self.entries.iter().map(|e| e.size).sum()
+    }
+
+    fn position(&self, key: ObjectKey) -> Option<usize> {
+        self.entries.iter().position(|e| e.key == key)
+    }
+
+    fn stamp(&mut self, key: ObjectKey, size: u64) -> (u64, u64) {
+        self.stamps += 1;
+        let priority = match self.policy {
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => 0,
+            EvictionPolicy::PerfectLfu => self.requests.get(&key).copied().unwrap_or(0),
+            EvictionPolicy::GdSize => (self.inflation as f64 + 1e12 / size.max(1) as f64) as u64,
+        };
+        (priority, self.stamps)
+    }
+
+    fn touch(&mut self, i: usize) {
+        if self.policy != EvictionPolicy::Fifo {
+            let (key, size) = (self.entries[i].key, self.entries[i].size);
+            self.entries[i].stamp = self.stamp(key, size);
+        }
+    }
+
+    fn lookup(&mut self, key: ObjectKey) -> bool {
+        if self.policy == EvictionPolicy::PerfectLfu {
+            *self.requests.entry(key).or_insert(0) += 1;
+        }
+        match self.position(key) {
+            Some(i) => {
+                self.hits += 1;
+                self.touch(i);
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
+        }
+    }
+
+    fn insert(&mut self, key: ObjectKey, size: u64) -> Vec<(ObjectKey, u64)> {
+        if size > self.capacity {
+            return Vec::new();
+        }
+        if let Some(i) = self.position(key) {
+            self.touch(i);
+            return Vec::new();
+        }
+        let mut evicted = Vec::new();
+        while self.used() + size > self.capacity {
+            let victim = (0..self.entries.len())
+                .filter(|&i| !self.entries[i].pinned)
+                .min_by_key(|&i| self.entries[i].stamp);
+            let Some(victim) = victim else {
+                return evicted;
+            };
+            let gone = self.entries.remove(victim);
+            if self.policy == EvictionPolicy::GdSize {
+                self.inflation = gone.stamp.0;
+            }
+            evicted.push((gone.key, gone.size));
+        }
+        let stamp = self.stamp(key, size);
+        self.entries.push(ModelEntry {
+            key,
+            size,
+            stamp,
+            pinned: false,
+        });
+        evicted
+    }
+
+    fn remove(&mut self, key: ObjectKey) -> bool {
+        self.position(key).map(|i| self.entries.remove(i)).is_some()
+    }
+
+    fn pin(&mut self, key: ObjectKey) {
+        if let Some(i) = self.position(key) {
+            self.entries[i].pinned = true;
+        }
+    }
+}
+
+/// Drive `ops` through a `ByteCache` and the reference model side by
+/// side, checking the cache's invariants and its agreement with the model
+/// after every op. Returns the cache for further checks.
+fn check_against_model(
+    policy: EvictionPolicy,
+    capacity: u64,
+    ops: Vec<Op>,
+) -> Result<ByteCache, TestCaseError> {
+    let mut cache = ByteCache::new(policy, capacity);
+    let mut model = Model::new(policy, capacity);
+    let mut inserted_sizes: HashMap<ObjectKey, u64> = HashMap::new();
+    for op in ops {
+        match op {
+            Op::Lookup(k) => {
+                let hit = cache.lookup(k);
+                prop_assert_eq!(hit, inserted_sizes.contains_key(&k) && cache.contains(k));
+                prop_assert_eq!(hit, model.lookup(k), "lookup({:?})", k);
+            }
+            Op::Insert(k, s) => {
+                let evicted = cache.insert(k, s);
+                for (k, size) in &evicted {
+                    // Evicted sizes must match what was inserted.
+                    prop_assert_eq!(inserted_sizes.get(k), Some(size));
+                    inserted_sizes.remove(k);
+                }
+                if cache.contains(k) {
+                    inserted_sizes.entry(k).or_insert(s);
+                }
+                prop_assert_eq!(&evicted, &model.insert(k, s), "insert({:?}, {})", k, s);
+            }
+            Op::Remove(k) => {
+                prop_assert_eq!(cache.remove(k), model.remove(k));
+                inserted_sizes.remove(&k);
+            }
+            Op::Pin(k) => {
+                cache.pin(k);
+                model.pin(k);
+            }
+            Op::Clear => {
+                cache.clear();
+                model.entries.clear();
+                inserted_sizes.clear();
+            }
+        }
+        // The core invariants, after every operation:
+        prop_assert!(cache.used() <= cache.capacity(), "over capacity");
+        let tracked: u64 = inserted_sizes
+            .iter()
+            .filter(|(k, _)| cache.contains(**k))
+            .map(|(_, s)| *s)
+            .sum();
+        prop_assert_eq!(cache.used(), tracked, "byte accounting drifted");
+        prop_assert_eq!(cache.used(), model.used());
+        prop_assert_eq!(cache.len(), model.entries.len());
+        prop_assert_eq!(cache.stats(), (model.hits, model.misses));
+    }
+    Ok(cache)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -49,43 +262,46 @@ proptest! {
         capacity in 1_000u64..50_000,
         ops in proptest::collection::vec(op_strategy(), 1..300)
     ) {
-        let mut cache = ByteCache::new(policy, capacity);
-        let mut inserted_sizes: std::collections::HashMap<ObjectKey, u64> =
-            std::collections::HashMap::new();
-        for op in ops {
-            match op {
-                Op::Lookup(v, c) => {
-                    let hit = cache.lookup(key(v, c));
-                    prop_assert_eq!(hit, inserted_sizes.contains_key(&key(v, c)) && cache.contains(key(v, c)));
-                }
-                Op::Insert(v, c, s) => {
-                    let evicted = cache.insert(key(v, c), s);
-                    for (k, size) in &evicted {
-                        // Evicted sizes must match what was inserted.
-                        prop_assert_eq!(inserted_sizes.get(k), Some(size));
-                        inserted_sizes.remove(k);
-                    }
-                    if cache.contains(key(v, c)) {
-                        inserted_sizes.entry(key(v, c)).or_insert(s);
-                    }
-                }
-                Op::Remove(v, c) => {
-                    cache.remove(key(v, c));
-                    inserted_sizes.remove(&key(v, c));
-                }
-                Op::Pin(v, c) => cache.pin(key(v, c)),
-            }
-            // The core invariants, after every operation:
-            prop_assert!(cache.used() <= cache.capacity(), "over capacity");
-            let tracked: u64 = inserted_sizes
-                .iter()
-                .filter(|(k, _)| cache.contains(**k))
-                .map(|(_, s)| *s)
-                .sum();
-            prop_assert_eq!(cache.used(), tracked, "byte accounting drifted");
-        }
+        let cache = check_against_model(policy, capacity, ops)?;
         let (hits, misses) = cache.stats();
         prop_assert!(hits + misses <= 300);
+    }
+
+    #[test]
+    fn cache_matches_reference_model_on_many_small_objects(
+        policy in policies(),
+        capacity in 2_000u64..60_000,
+        ops in proptest::collection::vec(small_object_op(), 1..3_000)
+    ) {
+        check_against_model(policy, capacity, ops)?;
+    }
+
+    /// LRU is a stack algorithm: under one lookup-then-insert-on-miss
+    /// stream, a cache of capacity C holds a subset of what a cache of
+    /// C' ≥ C holds, so the larger one never misses more. That needs each
+    /// key to keep one size and every size to fit in C; FIFO has no such
+    /// property (Belady's anomaly).
+    #[test]
+    fn lru_is_a_stack_algorithm(
+        capacity in 1_000u64..20_000,
+        extra in 0u64..20_000,
+        sizes in proptest::collection::vec(1u64..=1_000, 64),
+        requests in proptest::collection::vec(0usize..64, 1..600)
+    ) {
+        let mut small = ByteCache::new(EvictionPolicy::Lru, capacity);
+        let mut large = ByteCache::new(EvictionPolicy::Lru, capacity + extra);
+        for r in requests {
+            let k = wide_key(r as u32);
+            for cache in [&mut small, &mut large] {
+                if !cache.lookup(k) {
+                    cache.insert(k, sizes[r]);
+                }
+            }
+            for k in (0..64).map(wide_key) {
+                prop_assert!(!small.contains(k) || large.contains(k), "{:?} only in the smaller cache", k);
+            }
+            prop_assert!(large.stats().1 <= small.stats().1, "the larger cache missed more");
+        }
     }
 
     #[test]

@@ -37,10 +37,28 @@ struct Request {
     body: String,
 }
 
+/// Longest request or header line accepted, terminator included.
+const MAX_LINE_BYTES: u64 = 8 << 10;
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 100;
+
+/// One line of at most [`MAX_LINE_BYTES`], so a sender that never sends
+/// a newline costs the daemon a bounded buffer.
+fn read_line(reader: &mut impl BufRead, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    let n = reader
+        .take(MAX_LINE_BYTES)
+        .read_line(&mut line)
+        .map_err(|e| e.to_string())?;
+    if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(format!("{what} longer than {MAX_LINE_BYTES} bytes"));
+    }
+    Ok(line)
+}
+
 fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
+    let line = read_line(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_owned();
     let path = parts.next().unwrap_or("").to_owned();
@@ -48,12 +66,14 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         return Err("malformed request line".into());
     }
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| e.to_string())?;
+    for count in 0.. {
+        let header = read_line(&mut reader, "header line")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} header lines"));
         }
         if let Some(v) = header
             .to_ascii_lowercase()
