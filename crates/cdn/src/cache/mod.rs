@@ -12,7 +12,7 @@ mod tiered;
 
 pub use bytecache::ByteCache;
 pub use object::{EvictionPolicy, ObjectKey, MANIFEST_BYTES};
-pub use tiered::{AdmissionPolicy, TieredCache, TieredCacheConfig};
+pub use tiered::{AdmissionPolicy, TierChurn, TieredCache, TieredCacheConfig};
 
 #[cfg(test)]
 mod tests {

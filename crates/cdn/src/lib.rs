@@ -29,8 +29,8 @@ pub mod server;
 
 pub use ats::{AtsConfig, BackendConfig, CacheStatus, ServeOutcome};
 pub use cache::{
-    AdmissionPolicy, ByteCache, EvictionPolicy, ObjectKey, TieredCache, TieredCacheConfig,
-    MANIFEST_BYTES,
+    AdmissionPolicy, ByteCache, EvictionPolicy, ObjectKey, TierChurn, TieredCache,
+    TieredCacheConfig, MANIFEST_BYTES,
 };
 pub use fleet::{CdnFleet, FleetConfig, FleetShard, PrefetchPolicy, ServerPool};
 pub use server::{CdnServer, ServerConfig};

@@ -115,7 +115,7 @@ use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use streamlab::ablation;
-use streamlab::experiments::{full_report, run_experiment, ExperimentId};
+use streamlab::experiments::{full_report, render_report, run_all, run_experiment, ExperimentId};
 use streamlab::multiday::recurrence_study;
 use streamlab::supervisor::{atomic_write, atomic_write_with};
 use streamlab::telemetry::export;
@@ -597,14 +597,17 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         atomic_write(path, body.as_bytes()).map_err(at(path))?;
     }
 
-    let report = full_report(&out);
+    // Each exhibit runs once: report.txt and figures.json both render
+    // from the same results.
+    let results = run_all(&out);
+    let report = render_report(&results);
     let report_path = opts.out.join("report.txt");
     atomic_write(&report_path, report.as_bytes()).map_err(at(&report_path))?;
 
-    let mut all = serde_json::Map::new();
-    for &id in ExperimentId::all() {
-        all.insert(format!("{id:?}"), run_experiment(id, &out).json);
-    }
+    let all: serde_json::Map = results
+        .into_iter()
+        .map(|r| (format!("{:?}", r.id), r.json))
+        .collect();
     let figures_path = opts.out.join("figures.json");
     atomic_write(
         &figures_path,

@@ -414,14 +414,26 @@ pub fn run_experiment(id: ExperimentId, out: &RunOutput) -> ExperimentResult {
     }
 }
 
-/// Run every exhibit and render one combined report.
-pub fn full_report(out: &RunOutput) -> String {
+/// Run every exhibit, in paper order.
+pub fn run_all(out: &RunOutput) -> Vec<ExperimentResult> {
+    ExperimentId::all()
+        .iter()
+        .map(|&id| run_experiment(id, out))
+        .collect()
+}
+
+/// Render exhibit results as one combined report.
+pub fn render_report(results: &[ExperimentResult]) -> String {
     let mut s = String::new();
-    for &id in ExperimentId::all() {
-        let r = run_experiment(id, out);
+    for r in results {
         s.push_str(&format!("== {} ==\n{}\n\n", r.title, r.text));
     }
     s
+}
+
+/// Run every exhibit and render one combined report.
+pub fn full_report(out: &RunOutput) -> String {
+    render_report(&run_all(out))
 }
 
 #[cfg(test)]

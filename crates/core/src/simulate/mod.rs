@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use streamlab_cdn::{CdnFleet, FleetShard, PrefetchPolicy, ServerPool};
+use streamlab_cdn::{CdnFleet, FleetShard, PrefetchPolicy, ServerPool, TierChurn};
 use streamlab_obs::{
     canonicalize, Meta, MetricsRecorder, NoopSubscriber, ProgressCell, RunMetrics, RunProfile,
     SchedulerCounters, ShardMerge, ShardProfile, ShardStalled, SimMetrics, SimSpan, Subscriber,
@@ -602,6 +602,13 @@ impl Simulation {
         let event_loop_ms = loop_started.elapsed().as_secs_f64() * 1.0e3;
         let merge_started = Instant::now();
 
+        // Nothing past the event loop reads the warmed fleet beyond these
+        // aggregates: take them and free the caches before the join
+        // allocates the dataset, so the two are never alive together.
+        let servers = server_reports(&fleet);
+        let churn: Vec<TierChurn> = fleet.servers().iter().map(|s| s.cache().churn()).collect();
+        drop(fleet);
+
         // --- join + preprocessing ---
         // A spill failure degrades (that shard finished in RAM) rather
         // than failing the run; surface it so out-of-core users know the
@@ -628,7 +635,6 @@ impl Simulation {
             let raw_sessions = dataset.raw_sessions;
             (Some(dataset.filter_proxies()), raw_sessions, None)
         };
-        let servers = server_reports(&fleet);
         let merge_ms = merge_started.elapsed().as_secs_f64() * 1.0e3;
 
         let (metrics, trace_lines, sim_spans, wall_trace) = match recorder {
@@ -641,7 +647,7 @@ impl Simulation {
                     spans
                 });
                 let (mut sim, lines) = rec.into_parts();
-                fold_cache_churn(&mut sim, &fleet);
+                fold_cache_churn(&mut sim, &churn);
                 let events = sim.events_processed.get();
                 let profile = RunProfile {
                     engine: "sharded".to_owned(),
@@ -1078,16 +1084,15 @@ fn build_wall_trace(profile: &RunProfile, wall: &EngineWall) -> WallTrace {
     t
 }
 
-/// Fold the fleet's cache-churn counters into the metrics block, in
+/// Fold the per-server cache-churn counters into the metrics block, in
 /// canonical server order. Churn is a pure function of each server's
 /// request stream, so the totals are threads-invariant.
-fn fold_cache_churn(sim: &mut SimMetrics, fleet: &CdnFleet) {
-    for s in fleet.servers() {
-        let churn = s.cache().churn();
-        sim.cache_promotions.add(churn.promotions);
-        sim.cache_demotions.add(churn.demotions);
-        sim.cache_fills.add(churn.fills);
-        sim.cache_disk_evictions.add(churn.disk_evictions);
+fn fold_cache_churn(sim: &mut SimMetrics, churn: &[TierChurn]) {
+    for c in churn {
+        sim.cache_promotions.add(c.promotions);
+        sim.cache_demotions.add(c.demotions);
+        sim.cache_fills.add(c.fills);
+        sim.cache_disk_evictions.add(c.disk_evictions);
     }
 }
 

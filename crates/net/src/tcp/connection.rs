@@ -38,6 +38,10 @@ pub struct TcpConnection {
     cubic_epoch: SimTime,
     /// Injected path faults (loss bursts, blackouts); empty by default.
     faults: PathFaultTimeline,
+    /// Snapshot buffer reused across transfers: each transfer's snapshots
+    /// are collected here and handed out as one exactly sized `Vec`, so
+    /// the records that outlive the transfer carry no growth slack.
+    snapshots: Vec<TcpInfo>,
 }
 
 impl TcpConnection {
@@ -62,6 +66,7 @@ impl TcpConnection {
             cubic_w_max: 0.0,
             cubic_epoch: SimTime::ZERO,
             faults: PathFaultTimeline::default(),
+            snapshots: Vec::new(),
         }
     }
 
@@ -299,7 +304,7 @@ impl TcpConnection {
         let mut retx = 0u32;
         let mut timeouts = 0u32;
         let mut rounds = 0u32;
-        let mut snapshots = Vec::new();
+        self.snapshots.clear();
         let mut min_rtt = SimDuration::from_nanos(u64::MAX);
 
         while remaining > 0.0 {
@@ -463,15 +468,18 @@ impl TcpConnection {
             // flight (the paper logs snapshots with chunk context).
             while self.next_snapshot_at <= t {
                 let at = self.next_snapshot_at;
-                snapshots.push(self.info(at));
+                let info = self.info(at);
+                self.snapshots.push(info);
                 self.next_snapshot_at = at + self.cfg.snapshot_interval;
             }
         }
 
         // At-least-once-per-chunk snapshot (paper §2.1).
-        if snapshots.is_empty() {
-            snapshots.push(self.info(t));
-        }
+        let snapshots = if self.snapshots.is_empty() {
+            vec![self.info(t)]
+        } else {
+            self.snapshots.to_vec()
+        };
 
         self.last_activity = t;
         let first_byte_at = first_byte_at.unwrap_or(t);

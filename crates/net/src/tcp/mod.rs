@@ -247,6 +247,34 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_are_exactly_sized_and_fresh_per_transfer() {
+        // On a slow path a full chunk crosses many 500 ms grid points and
+        // a 20 kB object at most one, so alternating them on one
+        // connection makes each short transfer follow a long one.
+        let mut c = conn(quiet_path(2.0, 40.0, 4.0), TcpConfig::default(), 16);
+        let mut at = SimTime::ZERO;
+        let mut lens = Vec::new();
+        for i in 0..8 {
+            let bytes = if i % 2 == 0 { CHUNK } else { 20_000 };
+            let t = c.transfer(at, bytes);
+            assert_eq!(t.snapshots.len(), t.snapshots.capacity(), "transfer {i}");
+            for s in &t.snapshots {
+                assert!(
+                    t.send_start <= s.at && s.at <= t.last_byte_at,
+                    "transfer {i}: snapshot at {:?} outside {:?}..={:?}",
+                    s.at,
+                    t.send_start,
+                    t.last_byte_at
+                );
+            }
+            lens.push(t.snapshots.len());
+            at = t.last_byte_at + SimDuration::from_secs(1);
+        }
+        assert!(lens.iter().step_by(2).all(|&n| n >= 8), "{lens:?}");
+        assert!(lens.iter().skip(1).step_by(2).all(|&n| n == 1), "{lens:?}");
+    }
+
+    #[test]
     fn retx_counter_is_cumulative_in_info() {
         let mut path = quiet_path(20.0, 40.0, 1.5);
         path.random_loss = 0.01;

@@ -125,11 +125,17 @@ impl TelemetrySink {
     ///
     /// The engines call this once per shard when its event loop drains, so
     /// a spilling shard hands back a sink whose chunk arenas are empty and
-    /// whose data lives entirely in sealed segments. A no-op without spill
-    /// mode (or after a spill error disabled it).
+    /// whose data lives entirely in sealed segments. The drained arenas are
+    /// released too: they were sized for the spill threshold, and a sealed
+    /// sink holds them until the join or stream finishes. A no-op without
+    /// spill mode; after a spill error disabled it the rows stay in RAM.
     pub fn seal(&mut self) {
         if self.spill.is_some() {
             self.flush_run();
+            if self.player.is_empty() && self.cdn.is_empty() {
+                self.player = Vec::new();
+                self.cdn = Vec::new();
+            }
         }
     }
 
@@ -713,6 +719,37 @@ mod tests {
                 assert_eq!(c.chunk().raw() as usize, i);
             }
         }
+    }
+
+    #[test]
+    fn seal_releases_the_drained_arenas() {
+        let dir = std::env::temp_dir().join(format!("streamlab-seal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let mut sink = TelemetrySink::with_spill(
+            3,
+            SpillSpec {
+                dir: dir.clone(),
+                threshold: 8,
+                shard: 0,
+                storage: Storage::real(),
+            },
+        );
+        for id in 0..3 {
+            sink.session(meta(id, false));
+            for c in 0..5 {
+                sink.player_chunk(player(id, c));
+                sink.cdn_chunk(cdn(id, c, 0));
+            }
+        }
+        // One seal fired at the threshold; the 7-row tail is still in RAM.
+        assert_eq!(sink.spilled_rows(), 8);
+        sink.seal();
+        assert!(sink.spill_errors().is_empty(), "{:?}", sink.spill_errors());
+        assert_eq!(sink.spilled_rows(), 15);
+        assert_eq!((sink.player.capacity(), sink.cdn.capacity()), (0, 0));
+        let ds = Dataset::join(sink).expect("join");
+        assert_eq!(ds.chunk_count(), 15);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
