@@ -7,9 +7,12 @@
 //! switched mechanism — a paired experiment, not two noisy samples.
 
 use crate::config::SimulationConfig;
-use crate::simulate::{RunOutput, SimError, Simulation};
+use crate::simulate::{load_latency_correlation, RunOutput, ServerReport, SimError, Simulation};
 use serde::{Deserialize, Serialize};
-use streamlab_analysis::figures::{cdn, network};
+use streamlab_analysis::stats::{BinnedSeries, Cdf};
+use streamlab_supervisor::DatasetFacts;
+use streamlab_telemetry::records::CacheOutcome;
+use streamlab_telemetry::{proxy_keep_mask, ProxySignals, SessionData};
 
 /// The summary metrics an ablation compares.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -39,44 +42,213 @@ pub struct AblationMetrics {
 impl AblationMetrics {
     /// Extract the metrics from a run.
     pub fn from_run(out: &RunOutput) -> Self {
-        let s = cdn::headline_stats(&out.dataset);
-        let f11 = network::fig11(&out.dataset, 50);
-        let f15 = network::fig15(&out.dataset, 5);
-        let ds = &out.dataset;
-        let n = ds.sessions.len().max(1) as f64;
-        let mut startups: Vec<f64> = ds
-            .sessions
+        RunFold::over(&out.dataset.sessions).metrics(&out.servers)
+    }
+}
+
+/// The last chunk index Fig. 15 bins; the first-chunk retransmission rate
+/// is the mean of its first non-empty bin.
+const FIG15_MAX_CHUNK: u32 = 5;
+
+/// One session reduced to what [`AblationMetrics`] and the audit's
+/// [`DatasetFacts`] read of it.
+#[derive(Debug)]
+struct SessionSummary {
+    session: u64,
+    chunks: u32,
+    misses: u32,
+    ram_hits: u32,
+    /// How many entries of [`RunFold::hit_ms`] are this session's.
+    hits: u32,
+    /// Share of the session's chunks that missed, if any did.
+    miss_ratio: Option<f64>,
+    loss_free: bool,
+    /// The session's lowest chunk index up to [`FIG15_MAX_CHUNK`] and that
+    /// chunk's retransmission rate, %: the only point it can add to the
+    /// first non-empty bin of Fig. 15.
+    first_retx: Option<(u32, f64)>,
+    rebuffer_pct: f64,
+    bitrate_kbps: f64,
+    startup_s: f64,
+    monotone: bool,
+    contiguous: bool,
+}
+
+/// The one implementation of a run's [`AblationMetrics`] and of the
+/// [`DatasetFacts`] its audit checks: joined sessions are folded one at a
+/// time, in session order, into small per-session summaries, so a streamed
+/// run never holds its chunks. Each hit chunk's server latency is kept for
+/// the median.
+///
+/// A materialized run's dataset is proxy-filtered already
+/// ([`RunFold::over`]); a stream yields the raw join, so its fold applies
+/// §3's filter to the summaries ([`RunFold::filter_proxies`]) before they
+/// are reduced. Medians and bins go through the same [`Cdf`] and
+/// [`BinnedSeries`] the figures use, and sums run in session order, so
+/// the numbers are bit-identical to computing them on the filtered
+/// [`streamlab_telemetry::Dataset`].
+#[derive(Debug, Default)]
+pub(crate) struct RunFold {
+    sessions: Vec<SessionSummary>,
+    /// §3's inputs, one per entry of `sessions`.
+    signals: Vec<ProxySignals>,
+    /// Server latency (ms) of every hit chunk, session by session.
+    hit_ms: Vec<f64>,
+}
+
+impl RunFold {
+    /// Fold already-joined sessions, in order.
+    pub(crate) fn over(sessions: &[SessionData]) -> RunFold {
+        let mut fold = RunFold::default();
+        for s in sessions {
+            fold.push(s);
+        }
+        fold
+    }
+
+    /// Fold the next session (sessions arrive in ascending id order).
+    pub(crate) fn push(&mut self, s: &SessionData) {
+        let (mut misses, mut ram_hits, mut hits) = (0u32, 0u32, 0u32);
+        for c in &s.chunks {
+            match c.cdn.cache {
+                CacheOutcome::Miss => {
+                    misses += 1;
+                    continue;
+                }
+                CacheOutcome::RamHit => ram_hits += 1,
+                CacheOutcome::DiskHit => {}
+            }
+            hits += 1;
+            self.hit_ms.push(c.cdn.server_total().as_millis_f64());
+        }
+        let n = s.chunks.len();
+        self.sessions.push(SessionSummary {
+            session: s.meta.session.raw(),
+            chunks: u32::try_from(n).expect("a session has fewer than 2^32 chunks"),
+            misses,
+            ram_hits,
+            hits,
+            miss_ratio: (misses > 0).then(|| f64::from(misses) / n.max(1) as f64),
+            loss_free: s.loss_free(),
+            first_retx: s
+                .chunks
+                .iter()
+                .filter(|c| c.chunk().raw() <= FIG15_MAX_CHUNK)
+                .map(|c| (c.chunk().raw(), 100.0 * c.cdn.retx_rate()))
+                .filter(|(_, pct)| pct.is_finite())
+                .min_by_key(|&(i, _)| i),
+            rebuffer_pct: s.rebuffer_rate_pct(),
+            bitrate_kbps: s.avg_bitrate_kbps(),
+            startup_s: s.meta.startup_delay_s,
+            monotone: s
+                .chunks
+                .windows(2)
+                .all(|w| w[0].player.requested_at <= w[1].player.requested_at),
+            contiguous: s
+                .chunks
+                .iter()
+                .enumerate()
+                .all(|(i, c)| c.player.chunk.0 as usize == i && c.cdn.chunk == c.player.chunk),
+        });
+        self.signals.push(ProxySignals::of(s));
+    }
+
+    /// Sessions folded (and kept, after [`RunFold::filter_proxies`]).
+    pub(crate) fn session_count(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// §3 preprocessing over the folded sessions: drop the ones
+    /// [`proxy_keep_mask`] rejects, as [`streamlab_telemetry::Dataset::filter_proxies`]
+    /// does to a dataset.
+    pub(crate) fn filter_proxies(mut self) -> RunFold {
+        let keep = proxy_keep_mask(&self.signals);
+        // Kept sessions' hit latencies move down over the dropped ones'.
+        let (mut read, mut write) = (0, 0);
+        for (s, &k) in self.sessions.iter().zip(&keep) {
+            let hits = s.hits as usize;
+            if k {
+                self.hit_ms.copy_within(read..read + hits, write);
+                write += hits;
+            }
+            read += hits;
+        }
+        self.hit_ms.truncate(write);
+        retain_flagged(&mut self.sessions, &keep);
+        retain_flagged(&mut self.signals, &keep);
+        self
+    }
+
+    /// The audit's facts about the folded sessions. `raw_sessions` counts
+    /// the join before proxy filtering.
+    pub(crate) fn facts(&self, raw_sessions: usize, shard_errors: usize) -> DatasetFacts {
+        let ids = |flagged: fn(&SessionSummary) -> bool| -> Vec<u64> {
+            self.sessions
+                .iter()
+                .filter(|s| flagged(s))
+                .map(|s| s.session)
+                .collect()
+        };
+        DatasetFacts {
+            raw_sessions: raw_sessions as u64,
+            dataset_sessions: self.sessions.len() as u64,
+            dataset_chunks: self.sessions.iter().map(|s| u64::from(s.chunks)).sum(),
+            nonmonotonic_sessions: ids(|s| !s.monotone),
+            noncontiguous_sessions: ids(|s| !s.contiguous),
+            shard_errors: shard_errors as u64,
+        }
+    }
+
+    /// Reduce the folded sessions to the run's metrics.
+    pub(crate) fn metrics(self, servers: &[ServerReport]) -> AblationMetrics {
+        let RunFold {
+            sessions, hit_ms, ..
+        } = self;
+        let n = sessions.len().max(1) as f64;
+        let chunks = sessions.iter().map(|s| s.chunks as usize).sum::<usize>();
+        let misses = sessions.iter().map(|s| s.misses as usize).sum::<usize>();
+        let ram_hits = sessions.iter().map(|s| s.ram_hits as usize).sum::<usize>();
+        let miss_sessions = sessions.iter().filter(|s| s.miss_ratio.is_some()).count();
+        let first_retx: Vec<(usize, f64)> = sessions
             .iter()
-            .map(|x| x.meta.startup_delay_s)
+            .filter_map(|s| s.first_retx)
+            .map(|(i, pct)| (i as usize, pct))
+            .collect();
+        let mut startups: Vec<f64> = sessions
+            .iter()
+            .map(|s| s.startup_s)
             .filter(|x| x.is_finite())
             .collect();
-        startups.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+        startups.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite startup delays"));
         AblationMetrics {
-            miss_rate: s.miss_rate,
-            ram_hit_rate: s.ram_hit_rate,
-            hit_median_ms: s.hit_median_ms,
-            miss_session_ratio: s.mean_miss_ratio_in_miss_sessions,
-            loss_free_share: f11.loss_free_share,
-            first_chunk_retx_pct: f15.bins.first().map(|b| b.mean).unwrap_or(0.0),
-            mean_rebuffer_pct: ds
-                .sessions
-                .iter()
-                .map(|x| x.rebuffer_rate_pct())
-                .sum::<f64>()
-                / n,
-            mean_bitrate_kbps: ds
-                .sessions
-                .iter()
-                .map(|x| x.avg_bitrate_kbps())
-                .sum::<f64>()
-                / n,
+            miss_rate: misses as f64 / chunks.max(1) as f64,
+            ram_hit_rate: ram_hits as f64 / chunks.max(1) as f64,
+            hit_median_ms: Cdf::new(hit_ms).median(),
+            miss_session_ratio: if miss_sessions == 0 {
+                0.0
+            } else {
+                sessions.iter().filter_map(|s| s.miss_ratio).sum::<f64>() / miss_sessions as f64
+            },
+            loss_free_share: sessions.iter().filter(|s| s.loss_free).count() as f64 / n,
+            first_chunk_retx_pct: BinnedSeries::by_integer(&first_retx, FIG15_MAX_CHUNK as usize)
+                .bins
+                .first()
+                .map_or(0.0, |b| b.mean),
+            mean_rebuffer_pct: sessions.iter().map(|s| s.rebuffer_pct).sum::<f64>() / n,
+            mean_bitrate_kbps: sessions.iter().map(|s| s.bitrate_kbps).sum::<f64>() / n,
             startup_median_s: startups
                 .get(startups.len() / 2)
                 .copied()
                 .unwrap_or(f64::NAN),
-            load_latency_corr: out.load_latency_correlation(),
+            load_latency_corr: load_latency_correlation(servers),
         }
     }
+}
+
+/// Keep the elements of `v` whose flag in `keep` (one per element) is set.
+fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    v.retain(|_| *flags.next().expect("one flag per element"));
 }
 
 /// One variant's outcome in a comparison.

@@ -438,16 +438,17 @@ fn at(path: &std::path::Path) -> impl Fn(io::Error) -> String + '_ {
     move |e| format!("{}: {e}", path.display())
 }
 
-/// Report shards that died mid-run. The run still succeeds with partial
-/// results; the warning makes the gap impossible to miss.
-fn warn_partial(out: &streamlab::RunOutput) {
-    for e in &out.shard_errors {
-        eprintln!("warning: partial results — {e}");
+/// Report shards that died mid-run, each line prefixed with `scope` (the
+/// seed, in a sweep). The run still succeeds with partial results; the
+/// warning makes the gap impossible to miss.
+fn warn_partial(scope: &str, errors: &[streamlab::ShardError]) {
+    for e in errors {
+        eprintln!("warning: partial results — {scope}{e}");
     }
-    if !out.shard_errors.is_empty() {
+    if !errors.is_empty() {
         eprintln!(
-            "warning: {} shard(s) lost; the dataset covers the surviving shards' servers only",
-            out.shard_errors.len()
+            "warning: {scope}{} shard(s) lost; the dataset covers the surviving shards' servers only",
+            errors.len()
         );
     }
 }
@@ -550,7 +551,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     let out = Simulation::new(cfg)
         .run_observed(obs)
         .map_err(|e| e.to_string())?;
-    warn_partial(&out);
+    warn_partial("", &out.shard_errors);
 
     if opts.audit {
         let report = out
@@ -658,7 +659,7 @@ fn cmd_experiment(opts: &Opts) -> Result<(), String> {
     let id = find_experiment(name).ok_or_else(|| format!("unknown experiment '{name}'"))?;
     let cfg = config(opts)?;
     let out = Simulation::new(cfg).run().map_err(|e| e.to_string())?;
-    warn_partial(&out);
+    warn_partial("", &out.shard_errors);
     let r = run_experiment(id, &out);
     println!("== {} ==\n{}", r.title, r.text);
     Ok(())
@@ -736,6 +737,9 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     }
     for name in &result.skipped_records {
         eprintln!("warning: ignored unusable checkpoint record {name} (recomputed its seed)");
+    }
+    for (seed, errors) in &result.lost_shards {
+        warn_partial(&format!("seed {seed}: "), errors);
     }
     // The merged summary, durable next to the per-seed records.
     let dir = opts.resume.as_deref().unwrap_or(&opts.out);
@@ -930,7 +934,7 @@ fn cmd_replay(opts: &Opts) -> Result<(), String> {
     eprintln!("replaying {} sessions ...", specs.len());
     let cfg = config(opts)?;
     let out = streamlab::trace::replay(cfg, specs).map_err(|e| e.to_string())?;
-    warn_partial(&out);
+    warn_partial("", &out.shard_errors);
     println!("{}", full_report(&out));
     Ok(())
 }

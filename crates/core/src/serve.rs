@@ -20,10 +20,9 @@
 //! carrying the shard diagnostics — the daemon and every other queued job
 //! keep running.
 
-use crate::ablation::AblationMetrics;
 use crate::config::SimulationConfig;
-use crate::simulate::{ObsOptions, ShardError, Simulation};
-use crate::sweep::{manifest_config, payload_metrics, seed_payload, SweepSummary};
+use crate::simulate::{ShardError, SimError};
+use crate::sweep::{manifest_config, payload_metrics, run_seed, seed_payload, SweepSummary};
 use serde::{Deserialize, Serialize, Value};
 use serde_json::json;
 use streamlab_service::{JobCost, JobError, JobRunner, JobSpec, SeedContext};
@@ -132,37 +131,21 @@ impl JobRunner for SweepRunner {
             cfg.spill = Some(crate::sweep::seed_spill(sc, seed));
         }
 
-        let (metrics, segments) = if spec.audit {
-            let out = Simulation::new(cfg)
-                .run_observed(ObsOptions::default())
-                .map_err(|e| JobError::new("sim", format!("seed {seed}: {e}")))?;
-            if !out.shard_errors.is_empty() {
-                return Err(shard_failure(seed, &out.shard_errors));
-            }
-            let report = out
-                .audit()
-                .ok_or_else(|| JobError::new("audit", "observed run has no metrics to audit"))?;
-            if !report.is_clean() {
-                return Err(JobError::new(
-                    "audit",
-                    format!("seed {seed}: {}", report.render()),
-                ));
-            }
-            (AblationMetrics::from_run(&out), out.segments)
-        } else {
-            let out = Simulation::new(cfg)
-                .run()
-                .map_err(|e| JobError::new("sim", format!("seed {seed}: {e}")))?;
-            // A served job never ships partial results: the CLI warns and
-            // keeps going, but a queued sweep's contract is byte-identity
-            // with an uninterrupted run, so a lost shard is a job failure
-            // with the shard diagnostics attached.
-            if !out.shard_errors.is_empty() {
-                return Err(shard_failure(seed, &out.shard_errors));
-            }
-            (AblationMetrics::from_run(&out), out.segments)
-        };
-        Ok(seed_payload(&metrics, &segments))
+        let run = run_seed(cfg, spec.audit).map_err(|e| {
+            let kind = match e {
+                SimError::Audit(_) => "audit",
+                _ => "sim",
+            };
+            JobError::new(kind, format!("seed {seed}: {e}"))
+        })?;
+        // A served job never ships partial results: the CLI warns and
+        // keeps going, but a queued sweep's contract is byte-identity
+        // with an uninterrupted run, so a lost shard is a job failure
+        // with the shard diagnostics attached.
+        if !run.shard_errors.is_empty() {
+            return Err(shard_failure(seed, &run.shard_errors));
+        }
+        Ok(seed_payload(&run.metrics, &run.segments))
     }
 
     fn summarize(&self, _spec: &JobSpec, per_seed: &[(u64, Value)]) -> Result<String, JobError> {

@@ -43,6 +43,9 @@ pub enum SimError {
     /// The configuration is self-contradictory (e.g. a stall harness
     /// fault without a shard deadline to detect it).
     Config(String),
+    /// An audited sweep seed broke a structural invariant; the rendered
+    /// [`streamlab_supervisor::AuditReport`].
+    Audit(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -51,6 +54,7 @@ impl std::fmt::Display for SimError {
             SimError::Join(e) => write!(f, "telemetry join failed: {e}"),
             SimError::InvalidTrace(msg) => write!(f, "invalid session trace: {msg}"),
             SimError::Config(msg) => write!(f, "invalid configuration: {msg}"),
+            SimError::Audit(report) => f.write_str(report),
         }
     }
 }
@@ -261,11 +265,12 @@ pub struct RunOutput {
 /// This is the out-of-core twin of [`RunOutput`], for million-session runs
 /// where the dataset would not fit in RAM. The stream yields the raw join
 /// *before* §3 proxy filtering — the filter's per-prefix volume heuristic
-/// needs a global pass, so it cannot run inline; collect into a
-/// [`Dataset`] and call [`Dataset::filter_proxies`] when the filtered view
-/// is needed. Everything else the run computes (server reports, shard
-/// errors, segment manifest) is materialized as usual since those are
-/// small.
+/// needs every session's played seconds first. Collect into a [`Dataset`]
+/// and call [`Dataset::filter_proxies`], or, as sweeps do, fold the stream
+/// into per-session summaries and apply
+/// [`streamlab_telemetry::proxy_keep_mask`] to those.
+/// Everything else the run computes (server reports, shard errors,
+/// segment manifest) is materialized as usual since those are small.
 pub struct StreamOutput {
     /// Joined sessions in ascending session-id order, assembled
     /// incrementally from the spill segments (or from RAM when the run
@@ -273,7 +278,8 @@ pub struct StreamOutput {
     pub stream: streamlab_telemetry::SessionStream,
     /// Per-server aggregates.
     pub servers: Vec<ServerReport>,
-    /// Self-telemetry; `None` for plain streaming runs.
+    /// Self-telemetry; `None` unless the run was observed (a sweep
+    /// observes the seeds it audits).
     pub metrics: Option<RunMetrics>,
     /// Shards whose worker panicked (sharded engine only).
     pub shard_errors: Vec<ShardError>,
@@ -326,35 +332,8 @@ impl RunOutput {
     /// Summarize the primary outputs into the plain numbers the
     /// supervisor's invariant auditor checks against [`SimMetrics`].
     pub fn audit_facts(&self) -> streamlab_supervisor::DatasetFacts {
-        let mut nonmonotonic = Vec::new();
-        let mut noncontiguous = Vec::new();
-        let mut chunks = 0u64;
-        for s in &self.dataset.sessions {
-            chunks += s.chunks.len() as u64;
-            let monotone = s
-                .chunks
-                .windows(2)
-                .all(|w| w[0].player.requested_at <= w[1].player.requested_at);
-            if !monotone {
-                nonmonotonic.push(s.meta.session.raw());
-            }
-            let contiguous = s
-                .chunks
-                .iter()
-                .enumerate()
-                .all(|(i, c)| c.player.chunk.0 as usize == i && c.cdn.chunk == c.player.chunk);
-            if !contiguous {
-                noncontiguous.push(s.meta.session.raw());
-            }
-        }
-        streamlab_supervisor::DatasetFacts {
-            raw_sessions: self.raw_sessions as u64,
-            dataset_sessions: self.dataset.sessions.len() as u64,
-            dataset_chunks: chunks,
-            nonmonotonic_sessions: nonmonotonic,
-            noncontiguous_sessions: noncontiguous,
-            shard_errors: self.shard_errors.len() as u64,
-        }
+        crate::ablation::RunFold::over(&self.dataset.sessions)
+            .facts(self.raw_sessions, self.shard_errors.len())
     }
 
     /// Run the supervisor's structural invariant audit over this run.
@@ -368,20 +347,23 @@ impl RunOutput {
     /// latency. The paper's §4.1.3 finding is that this is *negative*
     /// (busier servers are faster) under cache-focused routing.
     pub fn load_latency_correlation(&self) -> f64 {
-        let xs: Vec<f64> = self
-            .servers
-            .iter()
-            .filter(|s| s.requests > 0)
-            .map(|s| s.requests as f64)
-            .collect();
-        let ys: Vec<f64> = self
-            .servers
-            .iter()
-            .filter(|s| s.requests > 0)
-            .map(|s| s.mean_latency_ms)
-            .collect();
-        streamlab_analysis::stats::pearson(&xs, &ys)
+        load_latency_correlation(&self.servers)
     }
+}
+
+/// [`RunOutput::load_latency_correlation`] over any run's server reports.
+pub(crate) fn load_latency_correlation(servers: &[ServerReport]) -> f64 {
+    let xs: Vec<f64> = servers
+        .iter()
+        .filter(|s| s.requests > 0)
+        .map(|s| s.requests as f64)
+        .collect();
+    let ys: Vec<f64> = servers
+        .iter()
+        .filter(|s| s.requests > 0)
+        .map(|s| s.mean_latency_ms)
+        .collect();
+    streamlab_analysis::stats::pearson(&xs, &ys)
 }
 
 mod session;
@@ -418,6 +400,17 @@ impl Simulation {
     /// "stream" is just the in-RAM dataset behind an iterator.
     pub fn run_streaming(self) -> Result<StreamOutput, SimError> {
         match self.run_inner(None, None, true)? {
+            InnerOutput::Streaming(o) => Ok(*o),
+            InnerOutput::Full(_) => unreachable!("streaming run"),
+        }
+    }
+
+    /// [`Simulation::run_streaming`] with self-telemetry:
+    /// [`StreamOutput::metrics`] carries the deterministic [`SimMetrics`]
+    /// and the wall-clock [`RunProfile`], as [`Simulation::run_observed`]
+    /// does for a materialized run.
+    pub(crate) fn run_streaming_observed(self) -> Result<StreamOutput, SimError> {
+        match self.run_inner(None, Some(ObsOptions::default()), true)? {
             InnerOutput::Streaming(o) => Ok(*o),
             InnerOutput::Full(_) => unreachable!("streaming run"),
         }

@@ -8,15 +8,15 @@
 //! metrics. Integration tests use it to assert that the paper-shape
 //! invariants are not one-seed flukes.
 
-use crate::ablation::AblationMetrics;
+use crate::ablation::{AblationMetrics, RunFold};
 use crate::config::{SimulationConfig, SpillConfig};
-use crate::simulate::{ObsOptions, SimError, Simulation};
+use crate::simulate::{ShardError, SimError, Simulation, StreamOutput};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
 use streamlab_supervisor::{Manifest, RunDir};
-use streamlab_telemetry::{validate_sealed, SegmentMeta};
+use streamlab_telemetry::{validate_sealed, SegmentMeta, SessionStream};
 
 /// Mean and population standard deviation of one metric across seeds.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -101,22 +101,74 @@ impl SweepSummary {
     }
 }
 
+/// What one sweep seed produced.
+#[derive(Debug)]
+pub(crate) struct SeedRun {
+    /// The seed's metrics, over the surviving shards' sessions.
+    pub(crate) metrics: AblationMetrics,
+    /// The spill segments the seed sealed (empty in RAM).
+    pub(crate) segments: Vec<SegmentMeta>,
+    /// Shards the seed lost; their sessions are missing from `metrics`.
+    pub(crate) shard_errors: Vec<ShardError>,
+}
+
+/// Simulate one sweep seed and fold its metrics from the joined session
+/// stream, so the seed's dataset is never built. Spilled runs stream
+/// through the k-way merge; in-RAM runs through the stream's materialized
+/// fallback. With `audit` the run is observed and a broken invariant fails
+/// the seed with [`SimError::Audit`]. Shared by [`run_seeds`], the
+/// checkpointed sweep and the `serve` daemon's sweep jobs.
+pub(crate) fn run_seed(cfg: SimulationConfig, audit: bool) -> Result<SeedRun, SimError> {
+    let sim = Simulation::new(cfg);
+    let out = if audit {
+        sim.run_streaming_observed()?
+    } else {
+        sim.run_streaming()?
+    };
+    fold_seed(out)
+}
+
+/// The fold behind [`run_seed`]: the first join error in the stream fails
+/// the seed with it.
+fn fold_seed(out: StreamOutput) -> Result<SeedRun, SimError> {
+    let (fold, raw_sessions) = fold_stream(out.stream)?;
+    if let Some(m) = &out.metrics {
+        let facts = fold.facts(raw_sessions, out.shard_errors.len());
+        let report = streamlab_supervisor::audit::audit(&m.sim, &facts);
+        if !report.is_clean() {
+            return Err(SimError::Audit(report.render()));
+        }
+    }
+    Ok(SeedRun {
+        metrics: fold.metrics(&out.servers),
+        segments: out.segments,
+        shard_errors: out.shard_errors,
+    })
+}
+
+/// Fold a run's joined sessions, then apply §3's proxy filter to the
+/// summaries. Also returns how many sessions the join yielded.
+fn fold_stream(stream: SessionStream) -> Result<(RunFold, usize), SimError> {
+    let mut fold = RunFold::default();
+    for session in stream {
+        fold.push(&session.map_err(SimError::Join)?);
+    }
+    let raw_sessions = fold.session_count();
+    Ok((fold.filter_proxies(), raw_sessions))
+}
+
 /// Run `base` under each seed (`cfg.seed` is overwritten), in parallel.
 pub fn run_seeds(base: &SimulationConfig, seeds: &[u64]) -> Result<SweepSummary, SimError> {
     assert!(!seeds.is_empty());
     // One thread per seed: the runs are fully independent (determinism is
     // per-seed, so parallelism cannot perturb results).
-    let results: Vec<Result<AblationMetrics, SimError>> = std::thread::scope(|scope| {
+    let results: Vec<Result<SeedRun, SimError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()
             .map(|&seed| {
                 let mut cfg = base.clone();
                 cfg.seed = seed;
-                scope.spawn(move || {
-                    Simulation::new(cfg)
-                        .run()
-                        .map(|out| AblationMetrics::from_run(&out))
-                })
+                scope.spawn(move || run_seed(cfg, false))
             })
             .collect();
         handles
@@ -126,7 +178,7 @@ pub fn run_seeds(base: &SimulationConfig, seeds: &[u64]) -> Result<SweepSummary,
     });
     let mut per_seed = Vec::with_capacity(seeds.len());
     for r in results {
-        per_seed.push(r?);
+        per_seed.push(r?.metrics);
     }
     Ok(SweepSummary::from_per_seed(seeds.to_vec(), per_seed))
 }
@@ -257,6 +309,9 @@ pub struct CheckpointedSweep {
     /// Record files that were present but unusable (torn writes, foreign
     /// files); their seeds were recomputed.
     pub skipped_records: Vec<String>,
+    /// Seeds computed by this process that lost shards, with the errors:
+    /// their metrics cover the surviving shards' sessions only.
+    pub lost_shards: Vec<(u64, Vec<ShardError>)>,
 }
 
 /// Start a fresh checkpointed sweep in `dir` (wiping any stale records).
@@ -339,7 +394,7 @@ fn run_checkpointed(
     // seeds finish nearly simultaneously, and an atomic counter alone
     // would let later workers slip their records in before the abort.
     let recorded = Mutex::new(0u32);
-    let computed: Vec<(u64, Result<AblationMetrics, String>)> = std::thread::scope(|scope| {
+    let computed: Vec<(u64, Result<SeedRun, String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = missing
             .iter()
             .map(|&seed| {
@@ -352,32 +407,19 @@ fn run_checkpointed(
                 }
                 let recorded = &recorded;
                 scope.spawn(move || {
-                    let (m, segments) = if audit {
-                        let out = Simulation::new(cfg)
-                            .run_observed(ObsOptions::default())
-                            .map_err(|e| format!("seed {seed}: {e}"))?;
-                        let report = out.audit().expect("observed run has metrics");
-                        if !report.is_clean() {
-                            return Err(format!("seed {seed}: {}", report.render()));
-                        }
-                        (AblationMetrics::from_run(&out), out.segments)
-                    } else {
-                        let out = Simulation::new(cfg)
-                            .run()
-                            .map_err(|e| format!("seed {seed}: {e}"))?;
-                        (AblationMetrics::from_run(&out), out.segments)
-                    };
+                    let run = run_seed(cfg, audit).map_err(|e| format!("seed {seed}: {e}"))?;
+                    let payload = seed_payload(&run.metrics, &run.segments);
                     if kill_after > 0 {
                         let mut n = recorded.lock().unwrap_or_else(|e| e.into_inner());
-                        run_dir.record_seed(seed, seed_payload(&m, &segments))?;
+                        run_dir.record_seed(seed, payload)?;
                         *n += 1;
                         if *n >= kill_after {
                             std::process::abort();
                         }
                     } else {
-                        run_dir.record_seed(seed, seed_payload(&m, &segments))?;
+                        run_dir.record_seed(seed, payload)?;
                     }
-                    Ok(m)
+                    Ok(run)
                 })
             })
             .collect();
@@ -388,8 +430,13 @@ fn run_checkpointed(
             .collect()
     });
 
+    let mut lost_shards = Vec::new();
     for (seed, result) in computed {
-        done.insert(seed, result?);
+        let run = result?;
+        if !run.shard_errors.is_empty() {
+            lost_shards.push((seed, run.shard_errors));
+        }
+        done.insert(seed, run.metrics);
     }
     let per_seed: Vec<AblationMetrics> = seeds.iter().map(|s| done[s]).collect();
     Ok(CheckpointedSweep {
@@ -397,6 +444,7 @@ fn run_checkpointed(
         resumed,
         computed: missing,
         skipped_records,
+        lost_shards,
     })
 }
 
@@ -631,6 +679,201 @@ mod tests {
 
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&spill_root);
+    }
+
+    /// A seed's metrics by their defining formulas — the figure functions
+    /// and per-session sums over the run's materialized, proxy-filtered
+    /// dataset: the oracle the streamed fold must match.
+    fn reference_metrics(out: &crate::RunOutput) -> AblationMetrics {
+        use streamlab_analysis::figures::{cdn, network};
+        let s = cdn::headline_stats(&out.dataset);
+        let f11 = network::fig11(&out.dataset, 50);
+        let f15 = network::fig15(&out.dataset, 5);
+        let ds = &out.dataset;
+        let n = ds.sessions.len().max(1) as f64;
+        let mut startups: Vec<f64> = ds
+            .sessions
+            .iter()
+            .map(|x| x.meta.startup_delay_s)
+            .filter(|x| x.is_finite())
+            .collect();
+        startups.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+        AblationMetrics {
+            miss_rate: s.miss_rate,
+            ram_hit_rate: s.ram_hit_rate,
+            hit_median_ms: s.hit_median_ms,
+            miss_session_ratio: s.mean_miss_ratio_in_miss_sessions,
+            loss_free_share: f11.loss_free_share,
+            first_chunk_retx_pct: f15.bins.first().map(|b| b.mean).unwrap_or(0.0),
+            mean_rebuffer_pct: ds
+                .sessions
+                .iter()
+                .map(|x| x.rebuffer_rate_pct())
+                .sum::<f64>()
+                / n,
+            mean_bitrate_kbps: ds
+                .sessions
+                .iter()
+                .map(|x| x.avg_bitrate_kbps())
+                .sum::<f64>()
+                / n,
+            startup_median_s: startups
+                .get(startups.len() / 2)
+                .copied()
+                .unwrap_or(f64::NAN),
+            load_latency_corr: out.load_latency_correlation(),
+        }
+    }
+
+    /// The audit facts by their definitions, on the same materialized
+    /// dataset.
+    fn reference_facts(out: &crate::RunOutput) -> streamlab_supervisor::DatasetFacts {
+        let sessions = &out.dataset.sessions;
+        let ids = |bad: &dyn Fn(&streamlab_telemetry::SessionData) -> bool| -> Vec<u64> {
+            sessions
+                .iter()
+                .filter(|s| bad(s))
+                .map(|s| s.meta.session.raw())
+                .collect()
+        };
+        streamlab_supervisor::DatasetFacts {
+            raw_sessions: out.raw_sessions as u64,
+            dataset_sessions: sessions.len() as u64,
+            dataset_chunks: sessions.iter().map(|s| s.chunks.len() as u64).sum(),
+            nonmonotonic_sessions: ids(&|s| {
+                !s.chunks
+                    .windows(2)
+                    .all(|w| w[0].player.requested_at <= w[1].player.requested_at)
+            }),
+            noncontiguous_sessions: ids(&|s| {
+                !s.chunks
+                    .iter()
+                    .enumerate()
+                    .all(|(i, c)| c.player.chunk.0 as usize == i && c.cdn.chunk == c.player.chunk)
+            }),
+            shard_errors: out.shard_errors.len() as u64,
+        }
+    }
+
+    /// Fold each seed's stream — in RAM, spilled, and spilled under the
+    /// outage scenario, at one and two threads — and check its metrics and
+    /// audit facts bit for bit against the materialized reference.
+    fn assert_streamed_matches_materialized(base: &SimulationConfig, seeds: &[u64]) {
+        let outage = streamlab_faults::FaultScenario::from_json_file(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/faults_outage_restart.json"
+        ))
+        .expect("outage scenario");
+        let spill_root = scratch(&format!("oracle-{:?}", base.scale));
+        let (mut cases, mut filtered) = (0, 0);
+        for &seed in seeds {
+            for mode in ["in RAM", "spilled", "spilled, outage faults"] {
+                let mut cfg = base.clone();
+                cfg.seed = seed;
+                if mode != "in RAM" {
+                    let dir = spill_root.join(seed.to_string());
+                    cfg.spill = Some(SpillConfig {
+                        dir: dir.display().to_string(),
+                        threshold: 97,
+                    });
+                }
+                if mode == "spilled, outage faults" {
+                    cfg.faults = outage.clone();
+                }
+                // The engine's output is identical at any thread count,
+                // so one materialized run is the reference for both.
+                let materialized = Simulation::new(cfg.clone()).run().expect("run");
+                let expect = metrics_bits(&reference_metrics(&materialized));
+                let expect_facts = format!("{:?}", reference_facts(&materialized));
+                let case = format!("{:?} seed {seed}, {mode}", cfg.scale);
+                assert_eq!(
+                    metrics_bits(&AblationMetrics::from_run(&materialized)),
+                    expect,
+                    "{case}: from_run"
+                );
+                assert_eq!(
+                    format!("{:?}", materialized.audit_facts()),
+                    expect_facts,
+                    "{case}: audit_facts"
+                );
+                if materialized.dataset.sessions.len() < materialized.raw_sessions {
+                    filtered += 1;
+                }
+                for threads in [1, 2] {
+                    let mut cfg = cfg.clone();
+                    cfg.threads = threads;
+                    // What `fold_seed` does, keeping the facts it audits.
+                    let out = Simulation::new(cfg).run_streaming().expect("stream");
+                    let (fold, raw) = fold_stream(out.stream).expect("fold");
+                    assert_eq!(
+                        format!("{:?}", fold.facts(raw, out.shard_errors.len())),
+                        expect_facts,
+                        "{case}, {threads} thread(s): streamed audit facts"
+                    );
+                    assert_eq!(
+                        metrics_bits(&fold.metrics(&out.servers)),
+                        expect,
+                        "{case}, {threads} thread(s): streamed metrics"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        // The proxy filter must have dropped sessions, or the keep-mask
+        // over the summaries went untested.
+        assert!(filtered > 0, "no session filtered in {cases} cases");
+        let _ = std::fs::remove_dir_all(&spill_root);
+    }
+
+    #[test]
+    fn streamed_tiny_seeds_match_the_materialized_reference() {
+        assert_streamed_matches_materialized(&tiny_base(), &[3, 7, 11]);
+    }
+
+    #[test]
+    fn streamed_small_seeds_match_the_materialized_reference() {
+        let mut small = SimulationConfig::small(0);
+        small.traffic.sessions = 600;
+        assert_streamed_matches_materialized(&small, &[2, 5]);
+    }
+
+    #[test]
+    fn a_join_error_in_the_stream_fails_the_seed() {
+        use streamlab_telemetry::{JoinError, SpillSpec, TelemetrySink};
+        let out = Simulation::new(tiny_base()).run().expect("run");
+        let (a, b) = (&out.dataset.sessions[0], &out.dataset.sessions[1]);
+        let dir = scratch("join-error");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A spilled sink whose second session has chunks but no metadata:
+        // the merge yields the first session, then the error.
+        let mut sink = TelemetrySink::with_spill(
+            2,
+            SpillSpec {
+                dir: dir.clone(),
+                threshold: 3,
+                shard: 0,
+                storage: streamlab_supervisor::Storage::real(),
+            },
+        );
+        sink.session(a.meta.clone());
+        for c in a.chunks.iter().chain(&b.chunks) {
+            sink.player_chunk(c.player.clone());
+            sink.cdn_chunk(c.cdn.clone());
+        }
+        sink.seal();
+        assert!(!sink.sealed_segments().is_empty());
+        let stream = StreamOutput {
+            stream: SessionStream::new(vec![sink]),
+            servers: out.servers.clone(),
+            metrics: None,
+            shard_errors: Vec::new(),
+            segments: Vec::new(),
+        };
+        match fold_seed(stream) {
+            Err(SimError::Join(e)) => assert_eq!(e, JoinError::MissingSessionMeta(b.meta.session)),
+            other => panic!("expected the join error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! End-to-end CLI coverage for the crash-safe supervisor layer: a
 //! SIGKILL-equivalent abort mid-sweep resumes to byte-identical output at
 //! any thread count, the shard watchdog turns a wedged shard into partial
-//! results instead of a hang, `--audit` verifies a finished run, and the
-//! removed `sweep --days` alias fails fast pointing at `--seeds`.
+//! results instead of a hang, a sweep that loses a shard says so per seed,
+//! `--audit` verifies a finished run, and the removed `sweep --days` alias
+//! fails fast pointing at `--seeds`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -185,6 +186,47 @@ fn stalled_shard_is_cancelled_and_the_run_finishes_with_partial_results() {
     assert!(err.contains("cancelled by the watchdog"), "stderr:\n{err}");
     assert!(err.contains("partial results"), "stderr:\n{err}");
     assert!(dir.join("report.txt").is_file(), "report still emitted");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_with_a_lost_shard_warns_naming_the_seed() {
+    let dir = scratch("sweep-shard-panic");
+    let faults = repo_example("faults_shard_panic.json");
+    let out = run(&[
+        "sweep",
+        "--scale",
+        "tiny",
+        "--seeds",
+        "2",
+        "--threads",
+        "2",
+        "--seed",
+        "7",
+        "--faults",
+        faults.to_str().unwrap(),
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    // Like `run`, the sweep keeps each seed's surviving shards, and says
+    // which seed lost what.
+    assert!(out.status.success(), "stderr:\n{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    for seed in [7, 8] {
+        assert!(
+            err.contains(&format!(
+                "warning: partial results — seed {seed}: shard for PoP 0 panicked"
+            )),
+            "stderr:\n{err}"
+        );
+        assert!(
+            err.contains(&format!(
+                "warning: seed {seed}: 1 shard(s) lost; the dataset covers the surviving shards' servers only"
+            )),
+            "stderr:\n{err}"
+        );
+    }
+    assert!(dir.join("sweep.json").is_file(), "summary still written");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -11,8 +11,9 @@ use crate::segment::{self, SegmentMeta};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
+use streamlab_sim::SimTime;
 use streamlab_supervisor::Storage;
-use streamlab_workload::{ChunkIndex, SessionId};
+use streamlab_workload::{ChunkIndex, PrefixId, SessionId};
 
 /// Configuration for a spilling sink: where segments go, when a flush
 /// fires, which canonical shard the sink belongs to, and the storage
@@ -373,6 +374,52 @@ impl SessionData {
     }
 }
 
+/// What §3's proxy filter reads of one session.
+#[derive(Debug, Clone, Copy)]
+pub struct ProxySignals {
+    /// Client /24 prefix.
+    pub prefix: PrefixId,
+    /// Session arrival time.
+    pub arrival: SimTime,
+    /// User-agent / IP mismatch between HTTP requests and player beacons.
+    pub ua_mismatch: bool,
+    /// Seconds of video the session's chunks carry, summed in chunk order.
+    pub played_s: f64,
+}
+
+impl ProxySignals {
+    /// The signals of one joined session.
+    pub fn of(s: &SessionData) -> ProxySignals {
+        ProxySignals {
+            prefix: s.meta.prefix,
+            arrival: s.meta.arrival,
+            ua_mismatch: s.meta.ua_mismatch,
+            played_s: s.chunks.iter().map(|c| c.player.chunk_secs).sum(),
+        }
+    }
+}
+
+/// §3 preprocessing as a keep-mask over `sessions`, in their order: drop a
+/// session whose observable signals identify a proxy — (i) user-agent/IP
+/// mismatch between the HTTP requests and the player beacons, or (ii) a
+/// prefix producing more video-minutes than wall-clock minutes (many users
+/// behind one address). Signal (ii) needs every session's played seconds
+/// first, so the rule runs over a whole run's signals, never inline.
+pub fn proxy_keep_mask(sessions: &[ProxySignals]) -> Vec<bool> {
+    // Signal (ii): per-prefix played seconds vs the observation window.
+    let mut prefix_secs: HashMap<u64, f64> = HashMap::new();
+    let mut window_end: f64 = 0.0;
+    for s in sessions {
+        *prefix_secs.entry(s.prefix.raw()).or_insert(0.0) += s.played_s;
+        window_end = window_end.max(s.arrival.as_secs_f64());
+    }
+    let window = window_end.max(1.0);
+    sessions
+        .iter()
+        .map(|s| !(s.ua_mismatch || prefix_secs[&s.prefix.raw()] > 3.0 * window))
+        .collect()
+}
+
 /// The joined, preprocessed dataset every analysis consumes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dataset {
@@ -575,31 +622,12 @@ impl Dataset {
         })
     }
 
-    /// §3 preprocessing: drop sessions whose observable signals identify a
-    /// proxy — (i) user-agent/IP mismatch between the HTTP requests and the
-    /// player beacons, or (ii) a prefix producing more video-minutes than
-    /// wall-clock minutes (many users behind one address).
+    /// §3 preprocessing: drop the sessions [`proxy_keep_mask`] rejects.
     pub fn filter_proxies(mut self) -> Dataset {
-        // Signal (ii): per-prefix played seconds vs the observation window.
-        let mut prefix_secs: HashMap<u64, f64> = HashMap::new();
-        let mut window_end: f64 = 0.0;
-        for s in &self.sessions {
-            let played: f64 = s.chunks.iter().map(|c| c.player.chunk_secs).sum();
-            *prefix_secs.entry(s.meta.prefix.raw()).or_insert(0.0) += played;
-            window_end = window_end.max(s.meta.arrival.as_secs_f64());
-        }
-        let window = window_end.max(1.0);
-
+        let signals: Vec<ProxySignals> = self.sessions.iter().map(ProxySignals::of).collect();
+        let mut keep = proxy_keep_mask(&signals).into_iter();
         let before = self.sessions.len();
-        self.sessions.retain(|s| {
-            let ua = s.meta.ua_mismatch;
-            let volume = prefix_secs
-                .get(&s.meta.prefix.raw())
-                .copied()
-                .unwrap_or(0.0)
-                > 3.0 * window;
-            !(ua || volume)
-        });
+        self.sessions.retain(|_| keep.next() == Some(true));
         self.filtered_proxy_sessions = before - self.sessions.len();
         self
     }

@@ -21,7 +21,9 @@ pub mod merge;
 pub mod records;
 pub mod segment;
 
-pub use dataset::{Dataset, JoinError, SessionData, SpillSpec, TelemetrySink};
+pub use dataset::{
+    proxy_keep_mask, Dataset, JoinError, ProxySignals, SessionData, SpillSpec, TelemetrySink,
+};
 pub use merge::{validate_sealed, SessionStream};
 pub use records::{CdnChunkRecord, ChunkRecord, ChunkTruth, PlayerChunkRecord, SessionMeta};
 pub use segment::{SegmentMeta, SegmentReader};

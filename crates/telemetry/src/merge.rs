@@ -29,6 +29,10 @@ use crate::segment::{SegmentMeta, SegmentReader, SortKey};
 
 type Pair = (PlayerChunkRecord, CdnChunkRecord);
 
+/// One decoded row group's two columns, paired as they are read.
+type GroupIter =
+    std::iter::Zip<std::vec::IntoIter<PlayerChunkRecord>, std::vec::IntoIter<CdnChunkRecord>>;
+
 fn key_of(p: &PlayerChunkRecord) -> SortKey {
     (p.session, p.chunk)
 }
@@ -37,8 +41,8 @@ fn key_of(p: &PlayerChunkRecord) -> SortKey {
 enum Run {
     /// A sealed segment, streamed one row group at a time.
     Segment {
-        reader: SegmentReader,
-        buf: std::vec::IntoIter<Pair>,
+        reader: Box<SegmentReader>,
+        buf: GroupIter,
         path: String,
     },
     /// The sorted in-RAM tail.
@@ -59,7 +63,7 @@ impl Run {
                 {
                     None => Ok(None),
                     Some((p, c)) => {
-                        *buf = p.into_iter().zip(c).collect::<Vec<_>>().into_iter();
+                        *buf = p.into_iter().zip(c);
                         Ok(buf.next())
                     }
                 }
@@ -281,8 +285,8 @@ fn open_run(meta: &SegmentMeta) -> Result<Run, JoinError> {
         )));
     }
     Ok(Run::Segment {
-        reader,
-        buf: Vec::new().into_iter(),
+        reader: Box::new(reader),
+        buf: Vec::new().into_iter().zip(Vec::new()),
         path: meta.path.clone(),
     })
 }
@@ -328,14 +332,10 @@ impl Merged {
         while self.next_meta.as_ref().is_some_and(|m| m.session < session) {
             self.next_meta = self.metas.next();
         }
-        let meta = match &self.next_meta {
-            Some(m) if m.session == session => {
-                let m = m.clone();
-                self.next_meta = self.metas.next();
-                m
-            }
-            _ => return Err(JoinError::MissingSessionMeta(session)),
+        let Some(meta) = self.next_meta.take_if(|m| m.session == session) else {
+            return Err(JoinError::MissingSessionMeta(session));
         };
+        self.next_meta = self.metas.next();
         Ok(Some(SessionData { meta, chunks }))
     }
 

@@ -674,6 +674,8 @@ pub struct SegmentReader {
     /// Group bytes between the read position and the footer; every group
     /// length read from the file must fit in it.
     unread: u64,
+    /// The current group's raw bytes; reused from group to group.
+    body: Vec<u8>,
 }
 
 impl SegmentReader {
@@ -715,6 +717,7 @@ impl SegmentReader {
             groups_read: 0,
             rows_read: 0,
             unread,
+            body: Vec::new(),
         })
     }
 
@@ -748,13 +751,13 @@ impl SegmentReader {
             )));
         }
         self.unread = room - u64::from(len);
-        let mut body = vec![0u8; len as usize];
-        self.file.read_exact(&mut body)?;
+        self.body.resize(len as usize, 0);
+        self.file.read_exact(&mut self.body)?;
         self.running_fnv = fnv_extend(self.running_fnv, &head);
-        self.running_fnv = fnv_extend(self.running_fnv, &body);
+        self.running_fnv = fnv_extend(self.running_fnv, &self.body);
         self.groups_read += 1;
         self.rows_read += rows as u64;
-        let decoded = decode_group(&body, rows)?;
+        let decoded = decode_group(&self.body, rows)?;
         if self.groups_read == self.header.groups {
             if self.rows_read != self.header.rows {
                 return Err(bad("segment row count mismatch across groups"));
