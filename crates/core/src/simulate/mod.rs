@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use streamlab_cdn::{CdnFleet, FleetShard, PrefetchPolicy, ServerPool, TierChurn};
+use streamlab_cdn::{CdnFleet, FleetShard, ServerPool, TierChurn};
 use streamlab_obs::{
     canonicalize, Meta, MetricsRecorder, NoopSubscriber, ProgressCell, RunMetrics, RunProfile,
     SchedulerCounters, ShardMerge, ShardProfile, ShardStalled, SimMetrics, SimSpan, Subscriber,
@@ -368,7 +368,7 @@ pub(crate) fn load_latency_correlation(servers: &[ServerReport]) -> f64 {
 
 mod session;
 
-use session::{finalize_session, step_chunk, SessionRuntime};
+use session::{finalize_session, step_chunk, PlacedSession, SessionRuntime};
 
 /// The end-to-end simulator.
 pub struct Simulation {
@@ -480,7 +480,8 @@ impl Simulation {
             catalog,
             population,
             mut fleet,
-            runtimes,
+            sessions,
+            session_master,
         } = World::build(cfg, specs_override)?;
         let coarse = coarse_pop_plan(&fleet, &cfg.faults, &harness);
 
@@ -494,14 +495,14 @@ impl Simulation {
         let (sinks, recorder, shard_profiles, loop_stats, shard_errors, engine_wall) = match obs {
             Some(o) => {
                 let (sinks, runs, errors, wall) = run_sharded(
-                    cfg.threads,
+                    cfg,
                     &mut fleet,
-                    runtimes,
+                    sessions,
+                    &session_master,
                     &catalog,
                     &population,
                     &harness,
                     &coarse,
-                    cfg.shard_deadline_ms,
                     loop_started,
                     spill,
                     || MetricsRecorder::with_options(o.trace, o.spans),
@@ -569,14 +570,14 @@ impl Simulation {
                 // Unobserved runs report no profile, so the per-shard
                 // stats and wall observations are not needed.
                 let (sinks, _, errors, _) = run_sharded(
-                    cfg.threads,
+                    cfg,
                     &mut fleet,
-                    runtimes,
+                    sessions,
+                    &session_master,
                     &catalog,
                     &population,
                     &harness,
                     &coarse,
-                    cfg.shard_deadline_ms,
                     loop_started,
                     spill,
                     || NoopSubscriber,
@@ -693,13 +694,16 @@ impl Simulation {
 }
 
 /// The world one run simulates: the catalog and client population drawn
-/// from the seed, the day's sessions (generated, or a validated replay
-/// trace), the warmed and fault-armed fleet, and every session's runtime.
+/// from the seed, the warmed and fault-armed fleet, the day's sessions
+/// (generated, or a validated replay trace) placed on it, and the master
+/// stream every session's RNG forks from. Runtimes are not part of it:
+/// the engine builds each one when its session arrives.
 struct World {
     catalog: Catalog,
     population: Population,
     fleet: CdnFleet,
-    runtimes: Vec<SessionRuntime>,
+    sessions: Vec<PlacedSession>,
+    session_master: RngStream,
 }
 
 impl World {
@@ -747,21 +751,16 @@ impl World {
         fleet.warm_parallel(&catalog, cfg.threads.max(1));
         fleet.install_faults(&cfg.faults);
 
-        let session_master = RngStream::new(seed, &format!("session-streams-day{}", cfg.day));
-        let runtimes = build_runtimes(
-            specs,
-            cfg,
-            &session_master,
-            &catalog,
-            &population,
-            &fleet,
-            cfg.threads.max(1),
-        );
+        let sessions = specs
+            .into_iter()
+            .map(|spec| PlacedSession::new(spec, &population, &fleet))
+            .collect();
         Ok(World {
             catalog,
             population,
             fleet,
-            runtimes,
+            sessions,
+            session_master: RngStream::new(seed, &format!("session-streams-day{}", cfg.day)),
         })
     }
 }
@@ -900,66 +899,6 @@ fn coarse_pop_plan(
         }
     }
     coarse
-}
-
-/// Build every session's runtime state, in spec order, across up to
-/// `threads` workers.
-///
-/// Construction is independent per session — each forks its own RNG
-/// stream off the shared master by session id and reads the immutable
-/// world — so contiguous batches built on separate threads and
-/// concatenated in batch order are byte-identical to the sequential
-/// build. Small runs stay sequential: thread spawn overhead would
-/// dominate.
-fn build_runtimes(
-    specs: Vec<SessionSpec>,
-    cfg: &SimulationConfig,
-    session_master: &RngStream,
-    catalog: &Catalog,
-    population: &Population,
-    fleet: &CdnFleet,
-    threads: usize,
-) -> Vec<SessionRuntime> {
-    let n = specs.len();
-    if threads <= 1 || n < 512 {
-        return specs
-            .into_iter()
-            .map(|spec| SessionRuntime::new(spec, cfg, session_master, catalog, population, fleet))
-            .collect();
-    }
-    let batch = n.div_ceil(threads);
-    let batches: Vec<Vec<SessionSpec>> = {
-        let mut it = specs.into_iter();
-        (0..threads)
-            .map(|_| it.by_ref().take(batch).collect())
-            .collect()
-    };
-    let mut built: Vec<Vec<SessionRuntime>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|b| {
-                scope.spawn(move || {
-                    b.into_iter()
-                        .map(|spec| {
-                            SessionRuntime::new(
-                                spec,
-                                cfg,
-                                session_master,
-                                catalog,
-                                population,
-                                fleet,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            built.push(h.join().expect("runtime-builder threads do not panic"));
-        }
-    });
-    built.into_iter().flatten().collect()
 }
 
 /// Deterministic event-loop throughput counters an engine reports back.
@@ -1125,14 +1064,14 @@ fn fold_cache_churn(sim: &mut SimMetrics, churn: &[TierChurn]) {
 /// [`ShardError::Stalled`] — same partial-results semantics as a panic.
 #[allow(clippy::too_many_arguments)]
 fn run_sharded<S, F>(
-    threads: usize,
+    cfg: &SimulationConfig,
     fleet: &mut CdnFleet,
-    runtimes: Vec<SessionRuntime>,
+    sessions: Vec<PlacedSession>,
+    session_master: &RngStream,
     catalog: &Catalog,
     population: &Population,
     harness: &HarnessFaults,
     coarse: &[bool],
-    deadline_ms: u64,
     epoch: Instant,
     spill: Option<&SpillPlan>,
     make_sub: F,
@@ -1146,7 +1085,7 @@ where
     S: Subscriber + Send,
     F: Fn() -> S + Sync,
 {
-    let policy = fleet.config().prefetch;
+    let (threads, deadline_ms) = (cfg.threads, cfg.shard_deadline_ms);
     let n_servers = fleet.len();
     let shards = fleet.split_shards_with(coarse);
     let n_jobs = shards.len();
@@ -1159,9 +1098,9 @@ where
             shard_of_server[s] = slot;
         }
     }
-    let mut by_shard: Vec<Vec<SessionRuntime>> = (0..n_jobs).map(|_| Vec::new()).collect();
-    for rt in runtimes {
-        by_shard[shard_of_server[rt.server_idx]].push(rt);
+    let mut by_shard: Vec<Vec<PlacedSession>> = (0..n_jobs).map(|_| Vec::new()).collect();
+    for s in sessions {
+        by_shard[shard_of_server[s.server_idx]].push(s);
     }
     // Static cost estimate for the LPT deal: one event per chunk watched,
     // plus one so empty shards still spread. The estimate only shapes the
@@ -1171,11 +1110,11 @@ where
         .map(|sessions| {
             sessions
                 .iter()
-                .map(|rt| rt.spec.chunks_watched as u64 + 1)
+                .map(|s| s.spec.chunks_watched as u64 + 1)
                 .sum()
         })
         .collect();
-    let work: Vec<(FleetShard, Vec<SessionRuntime>, Arc<ProgressCell>)> = shards
+    let work: Vec<(FleetShard, Vec<PlacedSession>, Arc<ProgressCell>)> = shards
         .into_iter()
         .zip(by_shard)
         .map(|(shard, sessions)| (shard, sessions, Arc::new(ProgressCell::new())))
@@ -1198,7 +1137,7 @@ where
     // output. A panic inside a shard job is caught below, so these locks
     // are never actually poisoned — `into_inner` recovery is belt-and-
     // braces against panics in the bookkeeping itself.
-    type Job = (FleetShard, Vec<SessionRuntime>, Arc<ProgressCell>);
+    type Job = (FleetShard, Vec<PlacedSession>, Arc<ProgressCell>);
     type ShardResult<S> = (
         FleetShard,
         Option<(TelemetrySink, ShardRun<S>)>,
@@ -1270,9 +1209,10 @@ where
                         let (sink, stats, completed) = run_shard(
                             &mut shard,
                             sessions,
+                            cfg,
+                            session_master,
                             catalog,
                             population,
-                            policy,
                             spill.map(|p| p.spec(i as u32)),
                             &mut sub,
                             Some(&cell),
@@ -1401,6 +1341,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// One event loop over `sessions`, served by `pool`: a [`FleetShard`] in
 /// the engine, or the whole [`CdnFleet`] in the tests' oracle.
 ///
+/// Every arrival is scheduled up front, in session order. A session's
+/// runtime is built when its arrival event pops and dropped once the
+/// session is finalized, so the loop holds runtimes only for the sessions
+/// in flight. Construction forks the session's RNG by its id and reads
+/// nothing the loop mutates, so when it happens never changes a draw or
+/// the event order.
+///
 /// With a `progress` cell the loop publishes a heartbeat (events popped,
 /// current sim-time) after every pop and honors the cell's cancel flag at
 /// the pop boundary. The returned flag is `true` when the queue drained
@@ -1412,26 +1359,29 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[allow(clippy::too_many_arguments)]
 fn run_shard<P: ServerPool, S: Subscriber>(
     pool: &mut P,
-    mut sessions: Vec<SessionRuntime>,
+    sessions: Vec<PlacedSession>,
+    cfg: &SimulationConfig,
+    session_master: &RngStream,
     catalog: &Catalog,
     population: &Population,
-    policy: PrefetchPolicy,
     spill: Option<SpillSpec>,
     sub: &mut S,
     progress: Option<&ProgressCell>,
 ) -> (TelemetrySink, EngineStats, bool) {
+    let policy = cfg.fleet.prefetch;
     let est_chunks: usize = sessions
         .iter()
-        .map(|rt| rt.spec.chunks_watched as usize)
+        .map(|s| s.spec.chunks_watched as usize)
         .sum();
     let mut sink = match spill {
         Some(spec) => TelemetrySink::with_spill(sessions.len(), spec),
         None => TelemetrySink::with_capacity(sessions.len(), est_chunks),
     };
     let mut queue: EventQueue<usize> = EventQueue::with_capacity(sessions.len());
-    for (idx, rt) in sessions.iter().enumerate() {
-        queue.schedule(rt.spec.arrival, idx);
+    for (idx, s) in sessions.iter().enumerate() {
+        queue.schedule(s.spec.arrival, idx);
     }
+    let mut live: Vec<Option<Box<SessionRuntime>>> = sessions.iter().map(|_| None).collect();
     let mut completed = true;
     while let Some(ev) = queue.pop() {
         let idx = ev.event;
@@ -1443,23 +1393,24 @@ fn run_shard<P: ServerPool, S: Subscriber>(
                 break;
             }
         }
-        let next = step_chunk(
-            &mut sessions[idx],
-            now,
-            catalog,
-            policy,
-            pool,
-            &mut sink,
-            sub,
-        );
-        match next {
+        let rt = live[idx].get_or_insert_with(|| {
+            Box::new(SessionRuntime::new(
+                &sessions[idx],
+                cfg,
+                session_master,
+                catalog,
+                population,
+            ))
+        });
+        match step_chunk(rt, now, catalog, policy, pool, &mut sink, sub) {
             Some(next_t) => queue.schedule(next_t.max(now), idx),
             None => {
                 // Read the server after the step: failover may have moved
                 // the session within its PoP (never across shards).
-                let server = pool.pool_server(sessions[idx].server_idx);
+                let server = pool.pool_server(rt.server_idx);
                 let (pop, id) = (server.pop(), server.id());
-                finalize_session(&mut sessions[idx], population, pop, id, &mut sink);
+                finalize_session(rt, population, pop, id, &mut sink);
+                live[idx] = None;
             }
         }
     }
@@ -1619,15 +1570,16 @@ mod tests {
             catalog,
             population,
             mut fleet,
-            runtimes,
+            sessions,
+            session_master,
         } = World::build(&cfg, None).expect("oracle world");
-        let policy = fleet.config().prefetch;
         let (sink, _, completed) = run_shard(
             &mut fleet,
-            runtimes,
+            sessions,
+            &cfg,
+            &session_master,
             &catalog,
             &population,
-            policy,
             None,
             &mut NoopSubscriber,
             None,

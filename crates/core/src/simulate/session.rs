@@ -17,9 +17,35 @@ use streamlab_telemetry::records::{
 use streamlab_telemetry::TelemetrySink;
 use streamlab_workload::{Catalog, ChunkIndex, Population, SessionSpec};
 
+/// One session of the day before it arrives: its spec and where the fleet
+/// places it — the server [`CdnFleet::assign`] picks, that server's PoP,
+/// and the client's distance to it. These are the only fleet reads a
+/// [`SessionRuntime`] needs, so the world computes them up front and the
+/// engine builds the runtime itself only when the session arrives.
+pub(super) struct PlacedSession {
+    pub(super) spec: SessionSpec,
+    pub(super) server_idx: usize,
+    pop_index: usize,
+    distance_km: f64,
+}
+
+impl PlacedSession {
+    /// Place `spec` on the warmed, fault-armed `fleet`.
+    pub(super) fn new(spec: SessionSpec, population: &Population, fleet: &CdnFleet) -> Self {
+        let location = &population.prefix(spec.client.prefix).location;
+        let server_idx = fleet.assign(location, spec.video, spec.id);
+        PlacedSession {
+            distance_km: fleet.distance_km(server_idx, location),
+            pop_index: fleet.pop_index_of(server_idx),
+            server_idx,
+            spec,
+        }
+    }
+}
+
 /// The runtime state of one in-flight session.
 pub(super) struct SessionRuntime {
-    pub(super) spec: SessionSpec,
+    spec: SessionSpec,
     manifest_done: bool,
     pub(super) server_idx: usize,
     /// PoP of the assigned server. Failover moves `server_idx` only
@@ -43,22 +69,26 @@ pub(super) struct SessionRuntime {
 }
 
 impl SessionRuntime {
-    /// Assemble the runtime for one session: its network path (with
-    /// per-session variation within the prefix), TCP connection, download
-    /// stack, rendering path, playback buffer and ABR instance.
+    /// Assemble the runtime for one placed session: its network path
+    /// (with per-session variation within the prefix), TCP connection,
+    /// download stack, rendering path, playback buffer and ABR instance.
+    ///
+    /// Everything it reads is immutable while the event loops run, and
+    /// its RNG forks off `session_master` by session id, so building it
+    /// at any point before the session's first step gives the same
+    /// runtime.
     pub(super) fn new(
-        spec: SessionSpec,
+        placed: &PlacedSession,
         cfg: &crate::config::SimulationConfig,
         session_master: &RngStream,
         catalog: &Catalog,
         population: &Population,
-        fleet: &CdnFleet,
     ) -> SessionRuntime {
         use streamlab_net::PathProfile;
+        let spec = placed.spec.clone();
+        let distance_km = placed.distance_km;
         let mut rng = session_master.fork_indexed(spec.id.raw());
         let prefix = population.prefix(spec.client.prefix);
-        let server_idx = fleet.assign(&prefix.location, spec.video, spec.id);
-        let distance_km = fleet.distance_km(server_idx, &prefix.location);
         // A /24 spans many households/desks: individual sessions see the
         // prefix's path character with per-session variation (this
         // inter-session spread is what Fig. 10 aggregates). Enterprise
@@ -111,8 +141,8 @@ impl SessionRuntime {
         SessionRuntime {
             spec,
             manifest_done: false,
-            server_idx,
-            pop_index: fleet.pop_index_of(server_idx),
+            server_idx: placed.server_idx,
+            pop_index: placed.pop_index,
             retry,
             distance_km,
             conn,

@@ -2,8 +2,8 @@
 //! SIGKILL-equivalent abort mid-sweep resumes to byte-identical output at
 //! any thread count, the shard watchdog turns a wedged shard into partial
 //! results instead of a hang, a sweep that loses a shard says so per seed,
-//! `--audit` verifies a finished run, and the removed `sweep --days` alias
-//! fails fast pointing at `--seeds`.
+//! `--audit` verifies a finished run (faulted ones too), and the removed
+//! `sweep --days` alias fails fast pointing at `--seeds`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -227,6 +227,38 @@ fn sweep_with_a_lost_shard_warns_naming_the_seed() {
         );
     }
     assert!(dir.join("sweep.json").is_file(), "summary still written");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The outage scenario aborts sessions before their first chunk. Such a
+/// session still sends its beacon, but every join drops sessions with no
+/// chunks, so the audited population may fall short of the started one
+/// by at most the aborts — and the repository's own scenario must pass.
+#[test]
+fn audit_passes_on_the_outage_scenario_with_early_aborts() {
+    let faults = repo_example("faults_outage_restart.json");
+    let dir = scratch("audit-outage");
+    for (cmd, extra) in [("run", &[][..]), ("sweep", &["--seeds", "2"][..])] {
+        let out_dir = dir.join(cmd);
+        let args = [
+            &[
+                cmd,
+                "--scale",
+                "tiny",
+                "--seed",
+                "7",
+                "--audit",
+                "--faults",
+                faults.to_str().unwrap(),
+                "--out",
+                out_dir.to_str().unwrap(),
+            ][..],
+            extra,
+        ]
+        .concat();
+        let out = run(&args);
+        assert!(out.status.success(), "{cmd}: stderr:\n{}", stderr_of(&out));
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -71,7 +71,9 @@ pub struct RunProfile {
     pub engine: String,
     /// Worker threads requested.
     pub threads: u64,
-    /// World generation + session-runtime setup, milliseconds.
+    /// World generation, fleet warm-up and session placement,
+    /// milliseconds. Session runtimes are built as sessions arrive, so
+    /// their construction counts in `event_loop_ms`.
     pub setup_ms: f64,
     /// Event loop(s), wall milliseconds (for the sharded engine this is
     /// the span from first shard start to last shard finish).

@@ -110,16 +110,26 @@ pub fn audit(m: &SimMetrics, facts: &DatasetFacts) -> AuditReport {
 
     // Session lifecycle: the event loop drains, so every started session
     // ends (aborted sessions end too), and the observer and beacon paths
-    // must have seen the same population.
+    // must have seen the same population. The join drops sessions without
+    // chunks, and only an abort ends a session before its first chunk, so
+    // a started session may be missing from the join only if it aborted:
+    // `started − aborted ≤ raw_sessions ≤ started`, equality without
+    // aborts.
+    let started = m.sessions_started.get();
+    let aborted = m.sessions_aborted.get();
     r.check_eq(
         "session_lifecycle",
-        ("sessions_started", m.sessions_started.get()),
+        ("sessions_started", started),
         ("sessions_ended", m.sessions_ended.get()),
     );
-    r.check_eq(
+    r.check(
         "session_population",
-        ("sessions_started", m.sessions_started.get()),
-        ("dataset raw_sessions", facts.raw_sessions),
+        started.saturating_sub(aborted) <= facts.raw_sessions && facts.raw_sessions <= started,
+        format!(
+            "dataset raw_sessions = {} but sessions_started = {started} \
+             with sessions_aborted = {aborted}",
+            facts.raw_sessions
+        ),
     );
     r.check_le(
         "session_filtering",
@@ -372,6 +382,47 @@ mod tests {
         let report = audit(&m, &facts);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].invariant, "retransmit_bound");
+    }
+
+    /// `consistent()` with `aborted` of its sessions aborted (before their
+    /// first chunk, by the network) and `raw` sessions in the join.
+    fn with_aborts(aborted: u64, raw: u64) -> (SimMetrics, DatasetFacts) {
+        let (mut m, mut facts) = consistent();
+        m.sessions_aborted.add(aborted);
+        m.loc_aborts_network.add(aborted);
+        facts.raw_sessions = raw;
+        facts.dataset_sessions = facts.dataset_sessions.min(raw);
+        (m, facts)
+    }
+
+    #[test]
+    fn sessions_missing_from_the_join_are_covered_by_aborts() {
+        for raw in [2, 3, 4] {
+            let (m, facts) = with_aborts(2, raw);
+            let report = audit(&m, &facts);
+            assert!(report.is_clean(), "raw {raw}: {}", report.render());
+        }
+    }
+
+    #[test]
+    fn more_missing_sessions_than_aborts_is_caught() {
+        let (m, facts) = with_aborts(1, 2);
+        let report = audit(&m, &facts);
+        assert_eq!(report.violations.len(), 1, "{}", report.render());
+        let v = &report.violations[0];
+        assert_eq!(v.invariant, "session_population");
+        assert!(v.detail.contains("raw_sessions = 2"), "{}", v.detail);
+        assert!(v.detail.contains("sessions_aborted = 1"), "{}", v.detail);
+    }
+
+    #[test]
+    fn more_joined_sessions_than_started_is_caught() {
+        for aborted in [0, 2] {
+            let (m, facts) = with_aborts(aborted, 5);
+            let report = audit(&m, &facts);
+            let names: Vec<_> = report.violations.iter().map(|v| v.invariant).collect();
+            assert_eq!(names, vec!["session_population"], "aborted {aborted}");
+        }
     }
 
     #[test]

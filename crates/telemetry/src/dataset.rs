@@ -151,17 +151,18 @@ impl TelemetrySink {
         self.flush_run();
     }
 
-    /// Sort the current arenas into a run and seal it as a segment. On
-    /// failure the (sorted) rows are put back and spilling is disabled.
+    /// Sort the current arenas into a run and seal it as a segment. The
+    /// rows are sorted in place — a `u32` permutation is sorted by key and
+    /// applied to both arenas — so a seal holds no second copy of them.
+    /// On success the arenas are cleared (keeping their capacity for the
+    /// next run); on failure the sorted rows stay in them and spilling is
+    /// disabled.
     fn flush_run(&mut self) {
         let Some(state) = &mut self.spill else { return };
         if state.disabled || self.player.is_empty() || self.player.len() != self.cdn.len() {
             return;
         }
-        let mut pairs: Vec<(PlayerChunkRecord, CdnChunkRecord)> =
-            self.player.drain(..).zip(self.cdn.drain(..)).collect();
-        pairs.sort_unstable_by_key(|a| (a.0.session, a.0.chunk));
-        let (player, cdn): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+        sort_paired(&mut self.player, &mut self.cdn);
         let path = state.spec.dir.join(format!(
             "seg-{:05}-{:05}.slseg",
             state.spec.shard, state.seq
@@ -171,12 +172,14 @@ impl TelemetrySink {
             &path,
             state.spec.shard,
             state.seq,
-            &player,
-            &cdn,
+            &self.player,
+            &self.cdn,
         ) {
             Ok(meta) => {
                 state.seq += 1;
                 self.sealed.push(meta);
+                self.player.clear();
+                self.cdn.clear();
             }
             Err(e) => {
                 // Keep the rows (sorted order is still engine-shaped:
@@ -185,8 +188,6 @@ impl TelemetrySink {
                 state.disabled = true;
                 self.spill_errors
                     .push(format!("sealing {} failed: {e}", path.display()));
-                self.player.extend(player);
-                self.cdn.extend(cdn);
             }
         }
     }
@@ -227,6 +228,31 @@ impl TelemetrySink {
                 .iter()
                 .zip(&self.cdn)
                 .all(|(p, c)| (p.session, p.chunk) == (c.session, c.chunk))
+    }
+}
+
+/// Stable-sort the paired arenas by `(session, chunk)` in place: sort a
+/// `u32` index permutation by the player row's key, then apply it to both
+/// arenas by following its cycles with swaps.
+fn sort_paired(player: &mut [PlayerChunkRecord], cdn: &mut [CdnChunkRecord]) {
+    debug_assert_eq!(player.len(), cdn.len());
+    let n = u32::try_from(player.len()).expect("a spill run's rows fit u32");
+    let mut perm: Vec<u32> = (0..n).collect();
+    // The index breaks ties, so the unstable sort, which needs no scratch
+    // buffer, gives the stable order.
+    perm.sort_unstable_by_key(|&i| (player[i as usize].session, player[i as usize].chunk, i));
+    // Row `i` takes the row at `perm[i]`; a placed position is marked by
+    // pointing it at itself.
+    for start in 0..perm.len() {
+        let mut at = start;
+        while perm[at] as usize != start {
+            let from = perm[at] as usize;
+            player.swap(at, from);
+            cdn.swap(at, from);
+            perm[at] = at as u32;
+            at = from;
+        }
+        perm[at] = at as u32;
     }
 }
 

@@ -50,7 +50,9 @@ enum Run {
 }
 
 impl Run {
-    fn next(&mut self) -> Result<Option<Pair>, JoinError> {
+    /// The run's next pair; a segment run reads its next group's bytes
+    /// through `body`.
+    fn next(&mut self, body: &mut Vec<u8>) -> Result<Option<Pair>, JoinError> {
         match self {
             Run::Mem(it) => Ok(it.next()),
             Run::Segment { reader, buf, path } => {
@@ -58,7 +60,7 @@ impl Run {
                     return Ok(Some(pair));
                 }
                 match reader
-                    .next_group()
+                    .next_group(body)
                     .map_err(|e| JoinError::Spill(format!("reading {path}: {e}")))?
                 {
                     None => Ok(None),
@@ -75,11 +77,16 @@ impl Run {
 /// Loser-tree merge over `k` sorted runs: `tree[0]` holds the current
 /// winner, the internal nodes hold losers; replaying one run after a pop
 /// costs `O(log k)` head comparisons.
+///
+/// Runs are refilled one at a time, so one group buffer, `body`, serves
+/// every segment run: the merge holds each run's decoded group but only
+/// one group's raw bytes.
 struct LoserTree {
     runs: Vec<Run>,
     heads: Vec<Option<(SortKey, Pair)>>,
     tree: Vec<usize>,
     k: usize,
+    body: Vec<u8>,
 }
 
 const EMPTY: usize = usize::MAX;
@@ -87,9 +94,10 @@ const EMPTY: usize = usize::MAX;
 impl LoserTree {
     fn new(mut runs: Vec<Run>) -> Result<LoserTree, JoinError> {
         let k = runs.len().max(1);
+        let mut body = Vec::new();
         let mut heads = Vec::with_capacity(k);
         for run in &mut runs {
-            heads.push(run.next()?.map(|p| (key_of(&p.0), p)));
+            heads.push(run.next(&mut body)?.map(|p| (key_of(&p.0), p)));
         }
         heads.resize_with(k, || None);
         let mut tree = LoserTree {
@@ -97,6 +105,7 @@ impl LoserTree {
             heads,
             tree: vec![EMPTY; k],
             k,
+            body,
         };
         tree.build();
         Ok(tree)
@@ -167,7 +176,9 @@ impl LoserTree {
         let Some((_, pair)) = self.heads[w].take() else {
             return Ok(None);
         };
-        self.heads[w] = self.runs[w].next()?.map(|p| (key_of(&p.0), p));
+        self.heads[w] = self.runs[w]
+            .next(&mut self.body)?
+            .map(|p| (key_of(&p.0), p));
         self.replay(w);
         Ok(Some(pair))
     }
@@ -193,8 +204,9 @@ fn sorted_metas(mut sessions: Vec<SessionMeta>) -> Vec<SessionMeta> {
 /// A bounded-memory stream of joined sessions in ascending session-id
 /// order — the streaming twin of [`Dataset::join_runs`].
 ///
-/// Holds one row group per open segment plus the session currently being
-/// assembled; never the whole dataset. Yields `Err` at most once (the
+/// Holds one decoded row group per open segment, one raw group buffer
+/// shared by all of them, and the session currently being assembled;
+/// never the whole dataset. Yields `Err` at most once (the
 /// first invariant violation or segment read failure), after which the
 /// stream is exhausted.
 pub struct SessionStream {

@@ -674,8 +674,6 @@ pub struct SegmentReader {
     /// Group bytes between the read position and the footer; every group
     /// length read from the file must fit in it.
     unread: u64,
-    /// The current group's raw bytes; reused from group to group.
-    body: Vec<u8>,
 }
 
 impl SegmentReader {
@@ -717,7 +715,6 @@ impl SegmentReader {
             groups_read: 0,
             rows_read: 0,
             unread,
-            body: Vec::new(),
         })
     }
 
@@ -728,8 +725,13 @@ impl SegmentReader {
 
     /// Read and decode the next row group; `Ok(None)` after the last group
     /// (at which point the payload fingerprint has been verified).
+    ///
+    /// The group's raw bytes are read into `body`, a buffer the caller
+    /// owns and reuses from call to call: one buffer can serve every
+    /// reader that is decoded one group at a time.
     pub fn next_group(
         &mut self,
+        body: &mut Vec<u8>,
     ) -> io::Result<Option<(Vec<PlayerChunkRecord>, Vec<CdnChunkRecord>)>> {
         if self.groups_read == self.header.groups {
             return Ok(None);
@@ -751,13 +753,13 @@ impl SegmentReader {
             )));
         }
         self.unread = room - u64::from(len);
-        self.body.resize(len as usize, 0);
-        self.file.read_exact(&mut self.body)?;
+        body.resize(len as usize, 0);
+        self.file.read_exact(body)?;
         self.running_fnv = fnv_extend(self.running_fnv, &head);
-        self.running_fnv = fnv_extend(self.running_fnv, &self.body);
+        self.running_fnv = fnv_extend(self.running_fnv, body);
         self.groups_read += 1;
         self.rows_read += rows as u64;
-        let decoded = decode_group(&self.body, rows)?;
+        let decoded = decode_group(body, rows)?;
         if self.groups_read == self.header.groups {
             if self.rows_read != self.header.rows {
                 return Err(bad("segment row count mismatch across groups"));
@@ -778,7 +780,8 @@ pub fn read_segment(
     let header = *r.header();
     let mut player = Vec::with_capacity(header.rows as usize);
     let mut cdn = Vec::with_capacity(header.rows as usize);
-    while let Some((p, c)) = r.next_group()? {
+    let mut body = Vec::new();
+    while let Some((p, c)) = r.next_group(&mut body)? {
         player.extend(p);
         cdn.extend(c);
     }
@@ -795,7 +798,8 @@ pub fn validate_segment(meta: &SegmentMeta) -> io::Result<SegmentHeader> {
     if header.shard != meta.shard || header.seq != meta.seq || header.rows != meta.rows {
         return Err(bad("segment header disagrees with manifest"));
     }
-    while r.next_group()?.is_some() {}
+    let mut body = Vec::new();
+    while r.next_group(&mut body)?.is_some() {}
     if r.expected_fnv != meta.fingerprint {
         return Err(bad("segment fingerprint disagrees with manifest"));
     }
@@ -925,7 +929,8 @@ mod tests {
         assert!(r.header().groups >= 2);
         let mut rows = 0u64;
         let mut groups = 0;
-        while let Some((gp, gc)) = r.next_group().unwrap() {
+        let mut body = Vec::new();
+        while let Some((gp, gc)) = r.next_group(&mut body).unwrap() {
             assert_eq!(gp.len(), gc.len());
             assert!(gp.len() <= GROUP_ROWS);
             rows += gp.len() as u64;

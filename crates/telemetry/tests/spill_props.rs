@@ -1,6 +1,6 @@
 //! Out-of-core spill properties.
 //!
-//! Three invariants keep the spill path honest:
+//! Four invariants keep the spill path honest:
 //!
 //! 1. Segment round-trips are *bit-exact*: every field — including `f64`s
 //!    with arbitrary bit patterns (`NaN` payloads, `-0.0`, subnormals) and
@@ -19,6 +19,9 @@
 //!    produce the exact reference dataset, with every segment it still
 //!    claims sealed passing fingerprint validation and no torn `.slseg`
 //!    file visible on disk.
+//! 4. The seal sorts its arenas in place, yet every segment it writes
+//!    holds exactly the rows — and bytes — that moving the arenas into a
+//!    `Vec` of pairs, sorting it and unzipping it would have written.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -581,6 +584,117 @@ fn crash_at_every_seal_failpoint_degrades_without_data_loss() {
             got, want,
             "crash at op {at}: dataset diverges from reference"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 4. The in-place seal writes what collect-sort-unzip wrote
+// ---------------------------------------------------------------------------
+
+/// The seal's sort as it was before it sorted in place: drain both arenas
+/// into a `Vec` of pairs, sort it by key, unzip it. The reference the
+/// in-place seal is held to.
+fn collect_sort_unzip(
+    player: &mut Vec<PlayerChunkRecord>,
+    cdn: &mut Vec<CdnChunkRecord>,
+) -> (Vec<PlayerChunkRecord>, Vec<CdnChunkRecord>) {
+    let mut pairs: Vec<(PlayerChunkRecord, CdnChunkRecord)> =
+        player.drain(..).zip(cdn.drain(..)).collect();
+    pairs.sort_unstable_by_key(|a| (a.0.session, a.0.chunk));
+    pairs.into_iter().unzip()
+}
+
+/// Engine-shaped emission order: each session's chunks ascend, and
+/// `picks` chooses which in-flight session emits next, so sessions
+/// interleave the way concurrent sessions do in one shard.
+fn interleaved(chunks: &[u32], picks: &[usize]) -> Vec<(u64, u32)> {
+    let mut next = vec![0u32; chunks.len()];
+    let mut live: Vec<usize> = (0..chunks.len()).filter(|&s| chunks[s] > 0).collect();
+    let mut keys = Vec::new();
+    for &pick in picks.iter().cycle() {
+        if live.is_empty() {
+            break;
+        }
+        let at = pick % live.len();
+        let s = live[at];
+        keys.push((s as u64, next[s]));
+        next[s] += 1;
+        if next[s] == chunks[s] {
+            live.remove(at);
+        }
+    }
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Shuffled, engine-shaped arenas through a spilling sink at any
+    /// threshold — below the row count, so cleared arenas are refilled
+    /// and sealed again, or above it, so only the final seal fires. Every
+    /// segment must be byte-identical to the one the reference sort's
+    /// rows make, in the same order.
+    #[test]
+    fn in_place_seal_writes_the_collect_sort_unzip_rows(
+        chunks in proptest::collection::vec(0u32..12, 1..24),
+        picks in proptest::collection::vec(any::<usize>(), 1..64),
+        tcp_lens in proptest::collection::vec(0usize..3, 1..16),
+        threshold in 1usize..160,
+    ) {
+        let rows: Vec<(PlayerChunkRecord, CdnChunkRecord)> = interleaved(&chunks, &picks)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (id, c))| {
+                let mut r = cdn(id, c);
+                r.tcp.truncate(tcp_lens[i % tcp_lens.len()]);
+                (player(id, c), r)
+            })
+            .collect();
+
+        let dir = scratch();
+        let mut sink = TelemetrySink::with_spill(
+            chunks.len(),
+            SpillSpec {
+                dir: dir.join("sink"),
+                threshold,
+                shard: 0,
+                storage: Storage::real(),
+            },
+        );
+        std::fs::create_dir_all(dir.join("sink")).expect("sink dir");
+        // The reference arenas fill in step with the sink's and are
+        // sorted whenever the sink's flush condition holds.
+        let (mut ref_player, mut ref_cdn) = (Vec::new(), Vec::new());
+        let mut want = Vec::new();
+        for (p, c) in &rows {
+            sink.player_chunk(p.clone());
+            sink.cdn_chunk(c.clone());
+            ref_player.push(p.clone());
+            ref_cdn.push(c.clone());
+            if ref_player.len() >= threshold {
+                want.push(collect_sort_unzip(&mut ref_player, &mut ref_cdn));
+            }
+        }
+        sink.seal();
+        if !ref_player.is_empty() {
+            want.push(collect_sort_unzip(&mut ref_player, &mut ref_cdn));
+        }
+
+        prop_assert!(sink.spill_errors().is_empty(), "{:?}", sink.spill_errors());
+        let sealed = sink.sealed_segments();
+        prop_assert_eq!(sealed.len(), want.len());
+        for (seq, (meta, (p, c))) in sealed.iter().zip(&want).enumerate() {
+            let path = dir.join(format!("ref-{seq}.slseg"));
+            let reference = write_segment(&Storage::real(), &path, 0, seq as u32, p, c)
+                .expect("write reference segment");
+            prop_assert_eq!(meta.seq, reference.seq);
+            prop_assert_eq!(meta.rows, reference.rows);
+            prop_assert_eq!(meta.fingerprint, reference.fingerprint);
+            let got = std::fs::read(&meta.path).expect("read sealed segment");
+            let expected = std::fs::read(&path).expect("read reference segment");
+            prop_assert!(got == expected, "segment {} differs from the reference", seq);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
