@@ -24,10 +24,10 @@ pub enum Scale {
 
 /// Out-of-core telemetry: when set, each shard's `TelemetrySink` seals a
 /// sorted columnar segment into `dir` and resets whenever its arenas reach
-/// `threshold` rows, so peak RSS stays flat in chunk volume and
-/// `Dataset::join_runs` streams a k-way merge over the segments instead of
-/// joining in RAM. Inert (`None`) by default; output is byte-identical
-/// either way at any thread count.
+/// `threshold` rows, so peak RSS stays flat in chunk volume; the join
+/// streams the segments back through the same sort-merge that joins
+/// in-RAM runs. Inert (`None`) by default; output is byte-identical either
+/// way at any thread count.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpillConfig {
     /// Directory segment files are written into (created if missing).

@@ -1415,9 +1415,11 @@ fn run_shard<P: ServerPool, S: Subscriber>(
         }
     }
     if completed {
-        // Seal the tail segment only for completed shards: a cancelled
-        // shard's results are dropped by the caller, and leaving its tail
-        // unsealed avoids writing segments that would never be read.
+        // Seal only completed shards: a cancelled shard's results are
+        // dropped by the caller, and leaving its tail unsealed avoids
+        // writing segments that would never be read. The seal sorts what
+        // stays in RAM here, in the shard's worker, so the join finds
+        // every run sorted.
         sink.seal();
     }
     let stats = EngineStats {

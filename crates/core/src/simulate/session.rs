@@ -420,8 +420,8 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
 
     // 8. Records — appended straight into the shard's sink arenas. The
     // player and CDN records of a chunk are pushed adjacently, so
-    // `sink.player[i]` and `sink.cdn[i]` stay 1:1 aligned — the invariant
-    // the indexed dataset join exploits.
+    // `sink.player[i]` and `sink.cdn[i]` stay 1:1 aligned, and a seal sorts
+    // both arenas with one permutation.
     let player_record = PlayerChunkRecord {
         session: rt.spec.id,
         chunk,

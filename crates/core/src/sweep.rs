@@ -113,11 +113,10 @@ pub(crate) struct SeedRun {
 }
 
 /// Simulate one sweep seed and fold its metrics from the joined session
-/// stream, so the seed's dataset is never built. Spilled runs stream
-/// through the k-way merge; in-RAM runs through the stream's materialized
-/// fallback. With `audit` the run is observed and a broken invariant fails
-/// the seed with [`SimError::Audit`]. Shared by [`run_seeds`], the
-/// checkpointed sweep and the `serve` daemon's sweep jobs.
+/// stream, so the seed's dataset is never built, in RAM or spilled. With
+/// `audit` the run is observed and a broken invariant fails the seed with
+/// [`SimError::Audit`]. Shared by [`run_seeds`], the checkpointed sweep
+/// and the `serve` daemon's sweep jobs.
 pub(crate) fn run_seed(cfg: SimulationConfig, audit: bool) -> Result<SeedRun, SimError> {
     let sim = Simulation::new(cfg);
     let out = if audit {

@@ -4,7 +4,8 @@
 //! test runs a one-thread tiny sweep seed with telemetry spilled and its
 //! metrics folded from the streamed join — the path `streamlab sweep
 //! --spill-dir` takes — and bounds the heap's peak above what it was
-//! before the seed started.
+//! before the seed started, once at a threshold small enough that every
+//! shard seals several runs and once at the CLI's default.
 //!
 //! The run is deterministic and the allocator sees every allocation of
 //! the process, so the count is exact and repeats from run to run. It
@@ -73,19 +74,33 @@ static ALLOC: Counting = Counting;
 /// spill run through a second and a third copy of its rows, and giving
 /// every open segment its own group buffer peaked at 36,442,897 bytes.
 /// Building runtimes at arrival, sealing in place and sharing one group
-/// buffer peak at 35,219,756 bytes. Most of the rest is the warmed fleet.
+/// buffer peak at 35,219,756 bytes. Arenas that grow by need, to 128 rows
+/// of capacity at this threshold, instead of reserving 97 rows up front,
+/// peak at 35,226,104. Most of the rest is the warmed fleet.
 const PEAK_BYTES_MAX: usize = 35_800_000;
 
-#[test]
-fn spilled_sweep_seed_heap_peak_is_bounded() {
-    let dir = std::env::temp_dir().join(format!("streamlab-engine-memory-{}", std::process::id()));
+/// The CLI's default `--spill-threshold`: no shard of a tiny seed reaches
+/// it, so each shard seals one segment when its loop drains.
+const DEFAULT_THRESHOLD: usize = 262_144;
+
+/// The same peak at [`DEFAULT_THRESHOLD`]. Reserving the threshold's rows
+/// in both arenas of every shard sink up front peaked at 88,892,790
+/// bytes; arenas that grow to what the shard holds peak at 37,283,183.
+const DEFAULT_THRESHOLD_PEAK_BYTES_MAX: usize = 38_000_000;
+
+/// Run the one-thread tiny sweep seed spilled at `threshold` rows and
+/// return its heap peak above the live heap before it started.
+fn spilled_seed_heap_peak(threshold: usize) -> usize {
+    let dir = std::env::temp_dir().join(format!(
+        "streamlab-engine-memory-{}-{threshold}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = SimulationConfig::tiny(7);
     cfg.threads = 1;
     cfg.spill = Some(SpillConfig {
         dir: dir.to_string_lossy().into_owned(),
-        // Small enough that every shard seals several runs mid-loop.
-        threshold: 97,
+        threshold,
     });
 
     let before = LIVE.load(Ordering::Relaxed);
@@ -94,10 +109,24 @@ fn spilled_sweep_seed_heap_peak_is_bounded() {
     let peak = PEAK.load(Ordering::Relaxed) - before;
     drop(summary);
     let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "spilled tiny sweep seed at threshold {threshold}: heap peak {peak} bytes above its start"
+    );
+    peak
+}
 
-    println!("spilled tiny sweep seed: heap peak {peak} bytes above its start");
+#[test]
+fn spilled_sweep_seed_heap_peak_is_bounded() {
+    // Small enough that every shard seals several runs mid-loop.
+    let peak = spilled_seed_heap_peak(97);
     assert!(
         peak <= PEAK_BYTES_MAX,
         "the spilled sweep seed's heap peaked at {peak} bytes, over {PEAK_BYTES_MAX}"
+    );
+    let peak = spilled_seed_heap_peak(DEFAULT_THRESHOLD);
+    assert!(
+        peak <= DEFAULT_THRESHOLD_PEAK_BYTES_MAX,
+        "at the default threshold the spilled sweep seed's heap peaked at {peak} bytes, \
+         over {DEFAULT_THRESHOLD_PEAK_BYTES_MAX}"
     );
 }

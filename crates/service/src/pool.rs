@@ -691,8 +691,8 @@ fn fail_job(shared: &Shared, handle: &JobHandle, error: JobError) {
     m.state = JobState::Failed;
     m.error = Some(error.clone());
     let _ = shared.registry.save_manifest(&m);
-    drop(m);
     shared.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
+    drop(m);
     handle.beat(
         "failed",
         &[
@@ -706,11 +706,11 @@ fn cancel_job(shared: &Shared, handle: &JobHandle) {
     let mut m = handle.manifest.lock().unwrap();
     m.state = JobState::Cancelled;
     let _ = shared.registry.save_manifest(&m);
-    drop(m);
     shared
         .counters
         .jobs_cancelled
         .fetch_add(1, Ordering::Relaxed);
+    drop(m);
     handle.beat("cancelled", &[]);
 }
 
@@ -891,11 +891,13 @@ fn run_job(shared: &Shared, handle: &JobHandle) {
     let mut m = handle.manifest.lock().unwrap();
     m.state = JobState::Done;
     let _ = shared.registry.save_manifest(&m);
-    drop(m);
+    // Counted under the manifest lock, as `Pool::cancel` counts: whoever
+    // sees the terminal state (a test, a `/metrics` scrape) sees the count.
     shared
         .counters
         .jobs_completed
         .fetch_add(1, Ordering::Relaxed);
+    drop(m);
     handle.beat("done", &[]);
 }
 

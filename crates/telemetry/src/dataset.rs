@@ -7,9 +7,9 @@
 //! of sessions.
 
 use crate::records::{CdnChunkRecord, ChunkRecord, PlayerChunkRecord, SessionMeta};
-use crate::segment::{self, SegmentMeta};
+use crate::segment::{self, SegmentMeta, SortKey};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use streamlab_sim::SimTime;
 use streamlab_supervisor::Storage;
@@ -70,15 +70,15 @@ impl TelemetrySink {
         }
     }
 
-    /// A spilling sink: chunk arenas are capped at `spill.threshold` rows;
-    /// crossing the threshold seals a sorted segment in `spill.dir` and
-    /// resets the arenas, so the sink runs in constant memory w.r.t. chunk
-    /// volume (session metadata stays in RAM — one record per session).
+    /// A spilling sink: crossing `spill.threshold` arena rows seals a
+    /// sorted segment in `spill.dir` and clears the arenas, so the sink
+    /// runs in constant memory w.r.t. chunk volume (session metadata stays
+    /// in RAM — one record per session). The arenas reserve nothing up
+    /// front: they grow to what the shard holds, and since a flush keeps
+    /// their capacity they stop growing at the threshold (rounded up by
+    /// `Vec`'s doubling).
     pub fn with_spill(sessions: usize, spill: SpillSpec) -> Self {
-        let cap = spill.threshold;
         TelemetrySink {
-            player: Vec::with_capacity(cap),
-            cdn: Vec::with_capacity(cap),
             sessions: Vec::with_capacity(sessions),
             spill: Some(SpillState {
                 spec: spill,
@@ -122,21 +122,22 @@ impl TelemetrySink {
         &self.spill_errors
     }
 
-    /// Flush the remaining arena rows as a final (possibly small) segment.
+    /// Leave the sink's chunk records as sorted runs, ready for the join.
     ///
-    /// The engines call this once per shard when its event loop drains, so
-    /// a spilling shard hands back a sink whose chunk arenas are empty and
-    /// whose data lives entirely in sealed segments. The drained arenas are
-    /// released too: they were sized for the spill threshold, and a sealed
-    /// sink holds them until the join or stream finishes. A no-op without
-    /// spill mode; after a spill error disabled it the rows stay in RAM.
+    /// A spilling sink seals the rows still in its arenas as a final
+    /// (possibly small) segment and releases the drained arenas: a sealed
+    /// sink would otherwise hold them until the join or stream finishes.
+    /// An in-RAM sink, or one whose spilling a failure disabled, sorts its
+    /// arenas in place (`sort_run`). The engines call this once per
+    /// completed shard, in the shard's worker, so the sorts run in
+    /// parallel and the join finds every run already sorted.
     pub fn seal(&mut self) {
-        if self.spill.is_some() {
-            self.flush_run();
-            if self.player.is_empty() && self.cdn.is_empty() {
-                self.player = Vec::new();
-                self.cdn = Vec::new();
-            }
+        self.flush_run();
+        if self.player.is_empty() && self.cdn.is_empty() {
+            self.player = Vec::new();
+            self.cdn = Vec::new();
+        } else {
+            sort_run(&mut self.player, &mut self.cdn);
         }
     }
 
@@ -151,18 +152,17 @@ impl TelemetrySink {
         self.flush_run();
     }
 
-    /// Sort the current arenas into a run and seal it as a segment. The
-    /// rows are sorted in place — a `u32` permutation is sorted by key and
-    /// applied to both arenas — so a seal holds no second copy of them.
-    /// On success the arenas are cleared (keeping their capacity for the
-    /// next run); on failure the sorted rows stay in them and spilling is
+    /// Sort the current arenas into a run in place ([`sort_run`]) and seal
+    /// it as a segment, so a seal holds no second copy of the rows. On
+    /// success the arenas are cleared (keeping their capacity for the next
+    /// run); on failure the sorted rows stay in them and spilling is
     /// disabled.
     fn flush_run(&mut self) {
         let Some(state) = &mut self.spill else { return };
         if state.disabled || self.player.is_empty() || self.player.len() != self.cdn.len() {
             return;
         }
-        sort_paired(&mut self.player, &mut self.cdn);
+        sort_run(&mut self.player, &mut self.cdn);
         let path = state.spec.dir.join(format!(
             "seg-{:05}-{:05}.slseg",
             state.spec.shard, state.seq
@@ -182,28 +182,13 @@ impl TelemetrySink {
                 self.cdn.clear();
             }
             Err(e) => {
-                // Keep the rows (sorted order is still engine-shaped:
-                // pairwise adjacent, per-session chunks ascending) and stop
-                // spilling; the run completes in RAM.
+                // Keep the sorted rows and stop spilling; the run
+                // completes in RAM.
                 state.disabled = true;
                 self.spill_errors
                     .push(format!("sealing {} failed: {e}", path.display()));
             }
         }
-    }
-
-    /// Read every sealed segment back into the in-RAM arenas, consuming
-    /// the segment list. Used by the reference join (the oracle must see
-    /// the same rows the streaming merge does) and by the fallback path
-    /// for sinks whose in-RAM tail is not merge-shaped.
-    pub(crate) fn materialize(&mut self) -> Result<(), JoinError> {
-        for meta in std::mem::take(&mut self.sealed) {
-            let (_, p, c) = segment::read_segment(std::path::Path::new(&meta.path))
-                .map_err(|e| JoinError::Spill(format!("reading {}: {e}", meta.path)))?;
-            self.player.extend(p);
-            self.cdn.extend(c);
-        }
-        Ok(())
     }
 
     /// Split the sink into its raw parts (merge machinery).
@@ -217,17 +202,33 @@ impl TelemetrySink {
     ) {
         (self.player, self.cdn, self.sessions, self.sealed)
     }
+}
 
-    /// True when the in-RAM arenas are pairwise keyed (`player[i]` and
-    /// `cdn[i]` are the same chunk) — the shape a spilled sink's tail must
-    /// have to join the k-way merge as one more sorted run.
-    pub(crate) fn arenas_paired(&self) -> bool {
-        self.player.len() == self.cdn.len()
-            && self
-                .player
-                .iter()
-                .zip(&self.cdn)
-                .all(|(p, c)| (p.session, p.chunk) == (c.session, c.chunk))
+/// The key a player half joins on.
+pub(crate) fn player_key(p: &PlayerChunkRecord) -> SortKey {
+    (p.session, p.chunk)
+}
+
+/// The key a CDN half joins on.
+pub(crate) fn cdn_key(c: &CdnChunkRecord) -> SortKey {
+    (c.session, c.chunk)
+}
+
+/// Sort a sink's in-RAM arenas into one key-sorted run, in place.
+/// Pairwise-keyed arenas (`player[i]` and `cdn[i]` are the same chunk,
+/// the shape the engines push) are sorted together by [`sort_paired`], any
+/// others column by column. Arenas already sorted cost one read-only pass.
+pub(crate) fn sort_run(player: &mut [PlayerChunkRecord], cdn: &mut [CdnChunkRecord]) {
+    let paired = player.len() == cdn.len()
+        && player
+            .iter()
+            .zip(&*cdn)
+            .all(|(p, c)| player_key(p) == cdn_key(c));
+    if !paired {
+        player.sort_unstable_by_key(player_key);
+        cdn.sort_unstable_by_key(cdn_key);
+    } else if !player.is_sorted_by_key(player_key) {
+        sort_paired(player, cdn);
     }
 }
 
@@ -470,176 +471,10 @@ impl Dataset {
     /// Join several sinks taken as *runs* — the engine's per-shard sinks,
     /// in canonical shard order — into one dataset, exactly as if every
     /// record had gone into one sink in run order. Nothing is copied into
-    /// a merged sink first.
-    ///
-    /// Spilled runs stream through the k-way merge of
-    /// [`crate::SessionStream`]. In-RAM runs take a linear indexed pass
-    /// exploiting the shape the engine emits, falling back to the
-    /// reference hash join ([`Dataset::join_reference`]) when any
-    /// invariant does not hold.
-    ///
-    /// The engine pushes each chunk's player and CDN records adjacently
-    /// (`player[i]` ↔ `cdn[i]` are the same chunk) and each session's
-    /// chunks in order `0, 1, 2, …`, all in the one shard that owns the
-    /// session — invariants a single O(n) validation pass over the runs
-    /// can confirm without hashing a single key. When they hold, assembly
-    /// is pure moves into pre-sized per-session vectors in ascending
-    /// session-id order: exactly the dataset the reference builds,
-    /// without the `HashMap`, the `BTreeMap` or the per-session sort.
-    /// When they don't (hand-built sinks, out-of-order replays, a key in
-    /// two runs), the reference path runs and reports the exact same
-    /// [`JoinError`]s it always did.
+    /// a merged sink first: this collects [`crate::SessionStream`], the
+    /// one sort-merge join every sink goes through, in RAM or spilled.
     pub fn join_runs(runs: Vec<TelemetrySink>) -> Result<Dataset, JoinError> {
-        if runs.iter().any(|r| !r.sealed_segments().is_empty()) {
-            return crate::merge::assemble_spilled(runs);
-        }
-        match Self::join_indexed(runs) {
-            Ok(ds) => Ok(ds),
-            Err(runs) => Self::reference(runs),
-        }
-    }
-
-    /// The indexed fast path. Returns the runs unchanged if any invariant
-    /// fails, so the caller can fall back to the reference join.
-    fn join_indexed(runs: Vec<TelemetrySink>) -> Result<Dataset, Vec<TelemetrySink>> {
-        // --- validation: one read-only linear pass ---
-        if runs.iter().any(|r| r.player.len() != r.cdn.len()) {
-            return Err(runs);
-        }
-        let (mut n_sessions, mut n_chunks, mut max_id) = (0usize, 0usize, 0u64);
-        for r in &runs {
-            n_sessions += r.sessions.len();
-            n_chunks += r.player.len();
-            for m in &r.sessions {
-                max_id = max_id.max(m.session.raw());
-            }
-            for p in &r.player {
-                max_id = max_id.max(p.session.raw());
-            }
-        }
-        let slots = max_id as usize + 1;
-        // Engines hand out dense session ids; a sparse id space would blow
-        // the direct-indexed tables up, so punt to the hash join instead.
-        if slots > 4 * (n_sessions + n_chunks) + 1024 {
-            return Err(runs);
-        }
-        // Per-session expected next chunk id; doubles as the chunk count.
-        // Shared across runs, so a key repeated in a later run breaks the
-        // expected sequence like any other duplicate.
-        let mut next: Vec<u32> = vec![0; slots];
-        for r in &runs {
-            for (p, c) in r.player.iter().zip(&r.cdn) {
-                if p.session != c.session || p.chunk != c.chunk {
-                    return Err(runs);
-                }
-                let sid = p.session.raw() as usize;
-                if p.chunk.raw() != next[sid] {
-                    return Err(runs);
-                }
-                next[sid] += 1;
-            }
-        }
-        let mut has_meta = vec![false; slots];
-        for m in runs.iter().flat_map(|r| &r.sessions) {
-            has_meta[m.session.raw() as usize] = true;
-        }
-        if next.iter().zip(&has_meta).any(|(&n, &has)| n > 0 && !has) {
-            return Err(runs);
-        }
-
-        // --- assembly: pure moves, cannot fail ---
-        let mut meta_slot: Vec<Option<SessionMeta>> = (0..slots).map(|_| None).collect();
-        let mut chunk_slot: Vec<Vec<ChunkRecord>> = next
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
-        // Each run's arenas are freed as soon as its records have moved.
-        for run in runs {
-            for m in run.sessions {
-                // Last meta wins, matching the reference join's map insert.
-                let sid = m.session.raw() as usize;
-                meta_slot[sid] = Some(m);
-            }
-            for (p, c) in run.player.into_iter().zip(run.cdn) {
-                chunk_slot[p.session.raw() as usize].push(ChunkRecord { player: p, cdn: c });
-            }
-        }
-        let live = next.iter().filter(|&&n| n > 0).count();
-        let mut out = Vec::with_capacity(live);
-        for (sid, chunks) in chunk_slot.into_iter().enumerate() {
-            if chunks.is_empty() {
-                // Zero-chunk sessions are dropped, like the reference join
-                // (it only materializes sessions seen in the chunk streams).
-                continue;
-            }
-            let meta = meta_slot[sid].take().expect("validated above");
-            out.push(SessionData { meta, chunks });
-        }
-        let raw = out.len();
-        Ok(Dataset {
-            sessions: out,
-            filtered_proxy_sessions: 0,
-            raw_sessions: raw,
-        })
-    }
-
-    /// The reference hash join: builds the dataset key-by-key with no
-    /// assumptions about record order or alignment. This is the semantic
-    /// definition [`Dataset::join`]'s fast path is tested against, and
-    /// the path that diagnoses malformed sinks with a precise
-    /// [`JoinError`].
-    pub fn join_reference(sink: TelemetrySink) -> Result<Dataset, JoinError> {
-        Self::reference(vec![sink])
-    }
-
-    /// [`Dataset::join_reference`] over runs: the records of every run, in
-    /// run order.
-    fn reference(mut runs: Vec<TelemetrySink>) -> Result<Dataset, JoinError> {
-        // The oracle must see spilled rows too: read them back into the
-        // arenas first so it joins exactly what the streaming merge would.
-        for r in &mut runs {
-            r.materialize()?;
-        }
-        let mut metas: BTreeMap<SessionId, SessionMeta> = BTreeMap::new();
-        for m in runs.iter_mut().flat_map(|r| r.sessions.drain(..)) {
-            metas.insert(m.session, m);
-        }
-
-        let mut cdn: HashMap<(SessionId, ChunkIndex), CdnChunkRecord> = HashMap::new();
-        for r in runs.iter_mut().flat_map(|r| r.cdn.drain(..)) {
-            let key = (r.session, r.chunk);
-            if cdn.insert(key, r).is_some() {
-                return Err(JoinError::DuplicateKey(key.0, key.1));
-            }
-        }
-
-        let mut by_session: BTreeMap<SessionId, Vec<ChunkRecord>> = BTreeMap::new();
-        for p in runs.into_iter().flat_map(|r| r.player) {
-            let key = (p.session, p.chunk);
-            let Some(c) = cdn.remove(&key) else {
-                return Err(JoinError::OrphanPlayerRecord(key.0, key.1));
-            };
-            if !metas.contains_key(&p.session) {
-                return Err(JoinError::MissingSessionMeta(p.session));
-            }
-            by_session
-                .entry(p.session)
-                .or_default()
-                .push(ChunkRecord { player: p, cdn: c });
-        }
-        if let Some(((s, c), _)) = cdn.into_iter().next() {
-            return Err(JoinError::OrphanCdnRecord(s, c));
-        }
-
-        let mut sessions = Vec::with_capacity(by_session.len());
-        for (id, mut chunks) in by_session {
-            // (session, chunk) keys are unique past the duplicate check, so
-            // an unstable sort cannot reorder equal elements — there are
-            // none.
-            chunks.sort_unstable_by_key(|c| c.chunk());
-            let meta = metas.remove(&id).expect("checked above");
-            sessions.push(SessionData { meta, chunks });
-        }
+        let sessions = crate::SessionStream::new(runs).collect::<Result<Vec<_>, _>>()?;
         let raw = sessions.len();
         Ok(Dataset {
             sessions,

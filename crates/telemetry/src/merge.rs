@@ -1,89 +1,133 @@
-//! Streaming k-way merge over sealed spill segments.
+//! The one join: a streaming sort-merge over key-sorted runs.
 //!
-//! The join takes the engine's per-shard sinks as *runs*. A spilled sink
-//! holds its chunk records as a set of sorted runs of its own: one per
-//! sealed segment plus whatever tail is still in RAM. Each run is strictly
-//! ascending on `(session, chunk)` and pairwise keyed (player\[i\] ↔
-//! cdn\[i\] are the same chunk), and a session's records all come from one
-//! shard, so merging every sink's runs by sort key yields the exact record
-//! order the in-RAM join produces: sessions ascending by id, chunks
-//! ascending within each session.
+//! The join takes the engine's per-shard sinks as *runs*. Each sink holds
+//! its chunk records as sorted runs of its own: one per sealed segment,
+//! streamed one row group at a time, plus its in-RAM arenas, sorted in
+//! place (`dataset::sort_run`; a sealed sink's already are). A
+//! run is two columns, player halves and CDN halves, each ascending on
+//! `(session, chunk)`. A loser tree over the runs' head keys — `O(log k)`
+//! comparisons per step — yields the keys in ascending order, and the
+//! merge gathers every half the runs hold under a key before it applies
+//! the join rule:
 //!
-//! The merge runs behind a classic loser tree — `O(log k)` comparisons per
-//! row — and re-applies the in-RAM join's invariant checks per merge
-//! window: keys must strictly ascend (an equal key, within one sink or
-//! across two, is a [`JoinError::DuplicateKey`]) and every emitted session
-//! must have metadata ([`JoinError::MissingSessionMeta`]). Orphan checks
-//! are free: segments store paired rows, so one-sided records cannot exist
-//! in a run. Sinks whose in-RAM tail is *not* merge-shaped (hand-built
-//! sinks with mismatched halves) fall back to materializing every segment
-//! and joining in RAM, where [`Dataset::join_reference`] reports the same
-//! errors it always did — the reference join stays the oracle either way.
+//! - exactly one player half and one CDN half make a chunk;
+//! - two CDN halves, or a key no higher than the previous key, are a
+//!   [`JoinError::DuplicateKey`];
+//! - a player half with no CDN half, or a second player half, is a
+//!   [`JoinError::OrphanPlayerRecord`];
+//! - a CDN half on its own is a [`JoinError::OrphanCdnRecord`];
+//! - a session with chunks but no metadata is a
+//!   [`JoinError::MissingSessionMeta`]; the last metadata record of a
+//!   session wins, and sessions with metadata but no chunks are dropped.
+//!
+//! Halves held by different runs join like halves in one. On
+//! single-violation input the errors are the reference hash join's, which
+//! the telemetry tests keep as their oracle; with several violations the
+//! merge reports the first in key order.
 
 use std::io;
 use std::path::Path;
 
-use crate::dataset::{Dataset, JoinError, SessionData, TelemetrySink};
+use crate::dataset::{cdn_key, player_key, sort_run, JoinError, SessionData, TelemetrySink};
 use crate::records::{CdnChunkRecord, ChunkRecord, PlayerChunkRecord, SessionMeta};
 use crate::segment::{SegmentMeta, SegmentReader, SortKey};
 
-type Pair = (PlayerChunkRecord, CdnChunkRecord);
-
-/// One decoded row group's two columns, paired as they are read.
-type GroupIter =
-    std::iter::Zip<std::vec::IntoIter<PlayerChunkRecord>, std::vec::IntoIter<CdnChunkRecord>>;
-
-fn key_of(p: &PlayerChunkRecord) -> SortKey {
-    (p.session, p.chunk)
-}
-
-/// One sorted run feeding the merge.
-enum Run {
-    /// A sealed segment, streamed one row group at a time.
-    Segment {
-        reader: Box<SegmentReader>,
-        buf: GroupIter,
-        path: String,
-    },
-    /// The sorted in-RAM tail.
-    Mem(std::vec::IntoIter<Pair>),
+/// One key-sorted run: a player column and a CDN column, each ascending by
+/// key, and for a sealed segment the reader that refills both, one row
+/// group at a time, once both are drained.
+struct Run {
+    player: std::vec::IntoIter<PlayerChunkRecord>,
+    cdn: std::vec::IntoIter<CdnChunkRecord>,
+    /// The segment's reader and path (for error messages).
+    segment: Option<(SegmentReader, String)>,
 }
 
 impl Run {
-    /// The run's next pair; a segment run reads its next group's bytes
-    /// through `body`.
-    fn next(&mut self, body: &mut Vec<u8>) -> Result<Option<Pair>, JoinError> {
-        match self {
-            Run::Mem(it) => Ok(it.next()),
-            Run::Segment { reader, buf, path } => {
-                if let Some(pair) = buf.next() {
-                    return Ok(Some(pair));
-                }
-                match reader
-                    .next_group(body)
-                    .map_err(|e| JoinError::Spill(format!("reading {path}: {e}")))?
-                {
-                    None => Ok(None),
-                    Some((p, c)) => {
-                        *buf = p.into_iter().zip(c);
-                        Ok(buf.next())
-                    }
-                }
-            }
+    fn in_ram(player: Vec<PlayerChunkRecord>, cdn: Vec<CdnChunkRecord>) -> Run {
+        Run {
+            player: player.into_iter(),
+            cdn: cdn.into_iter(),
+            segment: None,
+        }
+    }
+
+    /// The smaller of the two columns' next keys.
+    fn head(&self) -> Option<SortKey> {
+        let p = self.player.as_slice().first().map(player_key);
+        let c = self.cdn.as_slice().first().map(cdn_key);
+        p.into_iter().chain(c).min()
+    }
+
+    /// Move the run's halves under `key` into `halves`, then refill the
+    /// columns from the segment, reading its next group through `body`.
+    fn take(
+        &mut self,
+        key: SortKey,
+        halves: &mut Halves,
+        body: &mut Vec<u8>,
+    ) -> Result<(), JoinError> {
+        if self.player.as_slice().first().map(player_key) == Some(key) {
+            halves.player = self.player.next();
+            halves.players += 1;
+        }
+        if self.cdn.as_slice().first().map(cdn_key) == Some(key) {
+            halves.cdn = self.cdn.next();
+            halves.cdns += 1;
+        }
+        self.refill(body)
+    }
+
+    fn refill(&mut self, body: &mut Vec<u8>) -> Result<(), JoinError> {
+        let Some((reader, path)) = &mut self.segment else {
+            return Ok(());
+        };
+        if !self.player.as_slice().is_empty() || !self.cdn.as_slice().is_empty() {
+            return Ok(());
+        }
+        if let Some((p, c)) = reader
+            .next_group(body)
+            .map_err(|e| JoinError::Spill(format!("reading {path}: {e}")))?
+        {
+            self.player = p.into_iter();
+            self.cdn = c.into_iter();
+        }
+        Ok(())
+    }
+}
+
+/// Every half the runs hold under one key: the last player and CDN half
+/// taken, and how many of each there were.
+#[derive(Default)]
+struct Halves {
+    player: Option<PlayerChunkRecord>,
+    cdn: Option<CdnChunkRecord>,
+    players: u32,
+    cdns: u32,
+}
+
+impl Halves {
+    /// The join rule for one key (see the module docs).
+    fn join(self, (session, chunk): SortKey) -> Result<ChunkRecord, JoinError> {
+        match (self.player, self.cdn) {
+            _ if self.cdns > 1 => Err(JoinError::DuplicateKey(session, chunk)),
+            (Some(player), Some(cdn)) if self.players == 1 => Ok(ChunkRecord { player, cdn }),
+            (None, _) => Err(JoinError::OrphanCdnRecord(session, chunk)),
+            _ => Err(JoinError::OrphanPlayerRecord(session, chunk)),
         }
     }
 }
 
-/// Loser-tree merge over `k` sorted runs: `tree[0]` holds the current
-/// winner, the internal nodes hold losers; replaying one run after a pop
-/// costs `O(log k)` head comparisons.
+/// Loser-tree merge over `k` sorted runs: `tree[0]` holds the run with the
+/// smallest head key, the internal nodes hold losers; replaying one run
+/// after its head changed costs `O(log k)` key comparisons. The heads are
+/// keys only: a row moves once, out of its run and into its session.
 ///
 /// Runs are refilled one at a time, so one group buffer, `body`, serves
 /// every segment run: the merge holds each run's decoded group but only
 /// one group's raw bytes.
 struct LoserTree {
     runs: Vec<Run>,
-    heads: Vec<Option<(SortKey, Pair)>>,
+    heads: Vec<Option<SortKey>>,
     tree: Vec<usize>,
     k: usize,
     body: Vec<u8>,
@@ -97,9 +141,10 @@ impl LoserTree {
         let mut body = Vec::new();
         let mut heads = Vec::with_capacity(k);
         for run in &mut runs {
-            heads.push(run.next(&mut body)?.map(|p| (key_of(&p.0), p)));
+            run.refill(&mut body)?;
+            heads.push(run.head());
         }
-        heads.resize_with(k, || None);
+        heads.resize(k, None);
         let mut tree = LoserTree {
             runs,
             heads,
@@ -144,8 +189,8 @@ impl LoserTree {
         if b == EMPTY {
             return true;
         }
-        match (&self.heads[a], &self.heads[b]) {
-            (Some((ka, _)), Some((kb, _))) => (ka, a) < (kb, b),
+        match (self.heads[a], self.heads[b]) {
+            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => a < b,
@@ -167,25 +212,26 @@ impl LoserTree {
         self.tree[0] = winner;
     }
 
-    /// Pop the smallest head across all runs.
-    fn pop(&mut self) -> Result<Option<Pair>, JoinError> {
-        let w = self.tree[0];
-        if w == EMPTY {
-            return Ok(None);
+    /// The smallest head key across all runs.
+    fn min_key(&self) -> Option<SortKey> {
+        self.heads.get(self.tree[0]).copied().flatten()
+    }
+
+    /// Take every half the runs hold under `key`, the smallest head key.
+    fn take(&mut self, key: SortKey) -> Result<Halves, JoinError> {
+        let mut halves = Halves::default();
+        while self.min_key() == Some(key) {
+            let w = self.tree[0];
+            self.runs[w].take(key, &mut halves, &mut self.body)?;
+            self.heads[w] = self.runs[w].head();
+            self.replay(w);
         }
-        let Some((_, pair)) = self.heads[w].take() else {
-            return Ok(None);
-        };
-        self.heads[w] = self.runs[w]
-            .next(&mut self.body)?
-            .map(|p| (key_of(&p.0), p));
-        self.replay(w);
-        Ok(Some(pair))
+        Ok(halves)
     }
 }
 
 /// Session metadata for the merge: sorted ascending by id, duplicates
-/// resolved last-wins (matching both in-RAM joins).
+/// resolved last-wins.
 fn sorted_metas(mut sessions: Vec<SessionMeta>) -> Vec<SessionMeta> {
     // Stable sort keeps insertion order within an id, so keeping the last
     // element of each equal-id group is exactly "last meta wins".
@@ -202,87 +248,31 @@ fn sorted_metas(mut sessions: Vec<SessionMeta>) -> Vec<SessionMeta> {
 }
 
 /// A bounded-memory stream of joined sessions in ascending session-id
-/// order — the streaming twin of [`Dataset::join_runs`].
+/// order; [`crate::Dataset::join_runs`] collects it.
 ///
-/// Holds one decoded row group per open segment, one raw group buffer
-/// shared by all of them, and the session currently being assembled;
-/// never the whole dataset. Yields `Err` at most once (the
-/// first invariant violation or segment read failure), after which the
+/// Holds the runs' in-RAM arenas, one decoded row group per open segment,
+/// one raw group buffer shared by all of them, and the session currently
+/// being assembled; never the whole dataset. Yields `Err` at most once
+/// (the first join violation or segment read failure), after which the
 /// stream is exhausted.
 pub struct SessionStream {
-    inner: StreamInner,
-}
-
-enum StreamInner {
-    Merged(Box<Merged>),
-    /// Fallback for sinks that cannot be streamed: fully materialized
-    /// upfront (identical to the in-RAM join).
-    Materialized(std::vec::IntoIter<SessionData>),
-    Failed(Option<JoinError>),
+    /// The merge, or the error that ended it (`None` once yielded).
+    merge: Result<Box<Merged>, Option<JoinError>>,
 }
 
 struct Merged {
     tree: LoserTree,
-    metas: std::vec::IntoIter<SessionMeta>,
-    next_meta: Option<SessionMeta>,
-    pending: Option<Pair>,
+    metas: std::iter::Peekable<std::vec::IntoIter<SessionMeta>>,
     prev_key: Option<SortKey>,
-    done: bool,
 }
 
 impl SessionStream {
     /// Build a session stream over sinks taken as runs (spilled or not),
     /// e.g. the engine's per-shard sinks in canonical shard order.
     pub fn new(runs: Vec<TelemetrySink>) -> SessionStream {
-        match Self::try_new(runs) {
-            Ok(s) => s,
-            Err(e) => SessionStream {
-                inner: StreamInner::Failed(Some(e)),
-            },
+        SessionStream {
+            merge: Merged::open(runs).map(Box::new).map_err(Some),
         }
-    }
-
-    fn try_new(mut runs: Vec<TelemetrySink>) -> Result<SessionStream, JoinError> {
-        // Nothing spilled, or an in-RAM tail that is not engine-shaped
-        // (pairwise keyed, so sortable into one more run): join in RAM.
-        if runs.iter().all(|r| r.sealed_segments().is_empty())
-            || !runs.iter().all(TelemetrySink::arenas_paired)
-        {
-            for r in &mut runs {
-                r.materialize()?;
-            }
-            let ds = Dataset::join_runs(runs)?;
-            return Ok(SessionStream {
-                inner: StreamInner::Materialized(ds.sessions.into_iter()),
-            });
-        }
-
-        let mut merge_runs = Vec::new();
-        let mut metas = Vec::new();
-        for sink in runs {
-            let (player, cdn, sessions, sealed) = sink.into_parts();
-            for meta in &sealed {
-                merge_runs.push(open_run(meta)?);
-            }
-            if !player.is_empty() {
-                let mut pairs: Vec<Pair> = player.into_iter().zip(cdn).collect();
-                pairs.sort_unstable_by_key(|a| key_of(&a.0));
-                merge_runs.push(Run::Mem(pairs.into_iter()));
-            }
-            metas.extend(sessions);
-        }
-        let mut metas = sorted_metas(metas).into_iter();
-        let next_meta = metas.next();
-        Ok(SessionStream {
-            inner: StreamInner::Merged(Box::new(Merged {
-                tree: LoserTree::new(merge_runs)?,
-                metas,
-                next_meta,
-                pending: None,
-                prev_key: None,
-                done: false,
-            })),
-        })
     }
 }
 
@@ -296,72 +286,59 @@ fn open_run(meta: &SegmentMeta) -> Result<Run, JoinError> {
             meta.path
         )));
     }
-    Ok(Run::Segment {
-        reader: Box::new(reader),
-        buf: Vec::new().into_iter().zip(Vec::new()),
-        path: meta.path.clone(),
+    Ok(Run {
+        player: Vec::new().into_iter(),
+        cdn: Vec::new().into_iter(),
+        segment: Some((reader, meta.path.clone())),
     })
 }
 
 impl Merged {
-    fn next_session(&mut self) -> Result<Option<SessionData>, JoinError> {
-        // A pending pair was already key-checked when it popped (it is the
-        // previous window's lookahead); only fresh pops get checked here.
-        let first = match self.pending.take() {
-            Some(p) => p,
-            None => match self.tree.pop()? {
-                Some(p) => {
-                    self.check_key(key_of(&p.0))?;
-                    p
-                }
-                None => return Ok(None),
-            },
-        };
-        let session = first.0.session;
-        let mut chunks = vec![ChunkRecord {
-            player: first.0,
-            cdn: first.1,
-        }];
-        loop {
-            match self.tree.pop()? {
-                None => break,
-                Some(pair) => {
-                    let key = key_of(&pair.0);
-                    self.check_key(key)?;
-                    if pair.0.session != session {
-                        self.pending = Some(pair);
-                        break;
-                    }
-                    chunks.push(ChunkRecord {
-                        player: pair.0,
-                        cdn: pair.1,
-                    });
-                }
+    /// Every sink contributes its sealed segments and, when it holds any
+    /// rows in RAM, its arenas as one more run.
+    fn open(sinks: Vec<TelemetrySink>) -> Result<Merged, JoinError> {
+        let mut runs = Vec::new();
+        let mut metas = Vec::new();
+        for sink in sinks {
+            let (mut player, mut cdn, sessions, sealed) = sink.into_parts();
+            for meta in &sealed {
+                runs.push(open_run(meta)?);
             }
+            if !player.is_empty() || !cdn.is_empty() {
+                sort_run(&mut player, &mut cdn);
+                runs.push(Run::in_ram(player, cdn));
+            }
+            metas.extend(sessions);
         }
-        // Advance the meta cursor to this session; metadata-only sessions
-        // with no chunks are dropped, like both in-RAM joins.
-        while self.next_meta.as_ref().is_some_and(|m| m.session < session) {
-            self.next_meta = self.metas.next();
-        }
-        let Some(meta) = self.next_meta.take_if(|m| m.session == session) else {
-            return Err(JoinError::MissingSessionMeta(session));
-        };
-        self.next_meta = self.metas.next();
-        Ok(Some(SessionData { meta, chunks }))
+        Ok(Merged {
+            tree: LoserTree::new(runs)?,
+            metas: sorted_metas(metas).into_iter().peekable(),
+            prev_key: None,
+        })
     }
 
-    /// The per-window invariant check: the merged key sequence must
-    /// strictly ascend (each run strictly ascends, so a repeat across
-    /// runs is a duplicate record, never a sort bug).
-    fn check_key(&mut self, key: SortKey) -> Result<(), JoinError> {
-        if let Some(prev) = self.prev_key {
-            if key <= prev {
+    fn next_session(&mut self) -> Result<Option<SessionData>, JoinError> {
+        let Some((session, _)) = self.tree.min_key() else {
+            return Ok(None);
+        };
+        let mut chunks = Vec::new();
+        while let Some(key) = self.tree.min_key().filter(|k| k.0 == session) {
+            // Each run ascends, so a key that does not is a sort bug or a
+            // corrupt run; report it rather than join out of order.
+            if self.prev_key.is_some_and(|prev| key <= prev) {
                 return Err(JoinError::DuplicateKey(key.0, key.1));
             }
+            self.prev_key = Some(key);
+            chunks.push(self.tree.take(key)?.join(key)?);
         }
-        self.prev_key = Some(key);
-        Ok(())
+        // Advance the meta cursor to this session; metadata-only sessions
+        // with no chunks are dropped.
+        while self.metas.next_if(|m| m.session < session).is_some() {}
+        let meta = self
+            .metas
+            .next_if(|m| m.session == session)
+            .ok_or(JoinError::MissingSessionMeta(session))?;
+        Ok(Some(SessionData { meta, chunks }))
     }
 }
 
@@ -369,44 +346,18 @@ impl Iterator for SessionStream {
     type Item = Result<SessionData, JoinError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            StreamInner::Materialized(it) => it.next().map(Ok),
-            StreamInner::Failed(e) => e.take().map(Err),
-            StreamInner::Merged(m) => {
-                if m.done {
-                    return None;
-                }
-                match m.next_session() {
-                    Ok(Some(s)) => Some(Ok(s)),
-                    Ok(None) => {
-                        m.done = true;
-                        None
-                    }
-                    Err(e) => {
-                        m.done = true;
-                        Some(Err(e))
-                    }
-                }
+        let merged = match &mut self.merge {
+            Ok(merged) => merged,
+            Err(e) => return e.take().map(Err),
+        };
+        match merged.next_session() {
+            Ok(session) => session.map(Ok),
+            Err(e) => {
+                self.merge = Err(None);
+                Some(Err(e))
             }
         }
     }
-}
-
-/// [`Dataset::join_runs`] for spilled runs: stream the k-way merge and
-/// collect the sessions. Byte-identical to the in-RAM path on
-/// engine-shaped input; reference-identical errors on single-violation
-/// faulted input.
-pub(crate) fn assemble_spilled(runs: Vec<TelemetrySink>) -> Result<Dataset, JoinError> {
-    let mut sessions = Vec::new();
-    for s in SessionStream::new(runs) {
-        sessions.push(s?);
-    }
-    let raw = sessions.len();
-    Ok(Dataset {
-        sessions,
-        filtered_proxy_sessions: 0,
-        raw_sessions: raw,
-    })
 }
 
 /// Convenience for tests and manifest validation: check every sealed
@@ -421,26 +372,36 @@ pub fn validate_sealed(sealed: &[SegmentMeta]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use streamlab_workload::{ChunkIndex, SessionId};
+
+    /// An in-RAM run holding both halves of each key.
+    fn run(keys: &[(u64, u32)]) -> Run {
+        Run::in_ram(
+            keys.iter().map(|&(s, c)| mk_player(s, c)).collect(),
+            keys.iter().map(|&(s, c)| mk_cdn(s, c)).collect(),
+        )
+    }
+
+    /// Join every key the tree yields, in order.
+    fn drain(mut tree: LoserTree) -> Vec<(u64, u32)> {
+        let mut keys = Vec::new();
+        while let Some(key) = tree.min_key() {
+            tree.take(key).unwrap().join(key).unwrap();
+            keys.push((key.0 .0, key.1 .0));
+        }
+        keys
+    }
 
     #[test]
     fn loser_tree_merges_three_runs() {
-        // Hand-built runs via Mem only: keys (session, chunk).
-        fn pair(s: u64, c: u32) -> Pair {
-            (mk_player(s, c), mk_cdn(s, c))
-        }
         let runs = vec![
-            Run::Mem(vec![pair(0, 0), pair(2, 0), pair(2, 1)].into_iter()),
-            Run::Mem(vec![pair(1, 0), pair(1, 1)].into_iter()),
-            Run::Mem(vec![pair(0, 1), pair(3, 0)].into_iter()),
+            run(&[(0, 0), (2, 0), (2, 1)]),
+            run(&[(1, 0), (1, 1)]),
+            run(&[(0, 1), (3, 0)]),
         ];
-        let mut tree = LoserTree::new(runs).unwrap();
-        let mut keys = Vec::new();
-        while let Some(p) = tree.pop().unwrap() {
-            keys.push((p.0.session.0, p.0.chunk.0));
-        }
         assert_eq!(
-            keys,
+            drain(LoserTree::new(runs).unwrap()),
             vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
         );
     }
@@ -508,18 +469,11 @@ mod tests {
         }
         let mut runs = Vec::new();
         for batch in stream.chunks(64) {
-            let mut b: Vec<Pair> = batch
-                .iter()
-                .map(|&(s, c)| (mk_player(s, c), mk_cdn(s, c)))
-                .collect();
-            b.sort_unstable_by_key(|p| key_of(&p.0));
-            runs.push(Run::Mem(b.into_iter()));
+            let mut b = batch.to_vec();
+            b.sort_unstable();
+            runs.push(run(&b));
         }
-        let mut tree = LoserTree::new(runs).unwrap();
-        let mut keys = Vec::new();
-        while let Some(p) = tree.pop().unwrap() {
-            keys.push((p.0.session.0, p.0.chunk.0));
-        }
+        let keys = drain(LoserTree::new(runs).unwrap());
         assert_eq!(keys.len(), 1000);
         let mut expect = stream.clone();
         expect.sort_unstable();
@@ -540,22 +494,16 @@ mod tests {
         }
         let mut runs = Vec::new();
         for (i, batch) in stream.chunks(64).enumerate() {
-            let mut b: Vec<Pair> = batch
-                .iter()
-                .map(|&(s, c)| (mk_player(s, c), mk_cdn(s, c)))
-                .collect();
-            b.sort_unstable_by_key(|p| key_of(&p.0));
-            let (p, c): (Vec<_>, Vec<_>) = b.into_iter().unzip();
+            let mut b = batch.to_vec();
+            b.sort_unstable();
+            let p: Vec<_> = b.iter().map(|&(s, c)| mk_player(s, c)).collect();
+            let c: Vec<_> = b.iter().map(|&(s, c)| mk_cdn(s, c)).collect();
             let path = dir.join(format!("seg-00000-{i:05}.slseg"));
             let meta = crate::segment::write_segment(&Storage::real(), &path, 0, i as u32, &p, &c)
                 .unwrap();
             runs.push(open_run(&meta).unwrap());
         }
-        let mut tree = LoserTree::new(runs).unwrap();
-        let mut keys = Vec::new();
-        while let Some(p) = tree.pop().unwrap() {
-            keys.push((p.0.session.0, p.0.chunk.0));
-        }
+        let keys = drain(LoserTree::new(runs).unwrap());
         let mut expect = stream.clone();
         expect.sort_unstable();
         assert_eq!(keys.len(), 1000, "row count");

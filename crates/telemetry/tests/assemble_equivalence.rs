@@ -1,14 +1,15 @@
-//! Property: the indexed fast-path join behind [`Dataset::join`] is
+//! Property: the sort-merge join behind [`Dataset::join`] is
 //! observationally identical to the naive hash-join reference
-//! ([`Dataset::join_reference`]) on every input — well-formed engine
+//! (`support::join_reference`) on every input — well-formed engine
 //! output, shuffled replays, aborted sessions, and malformed sinks alike.
 //!
-//! The fast path validates the engine's emission invariants (player/CDN
-//! records aligned 1:1, per-session chunk ids contiguous from zero, dense
-//! session ids) and silently falls back to the reference join when any
-//! fails, so the equivalence must hold — Ok for Ok, same dataset bytes;
-//! Err for Err, same [`JoinError`] — across the whole input space, not
-//! just the happy path.
+//! The join sorts a sink's arenas into one run — together when the player
+//! and CDN records are aligned 1:1, as the engine pushes them, column by
+//! column otherwise — and joins them key by key, so the equivalence must
+//! hold — Ok for Ok, same dataset bytes; Err for Err, same [`JoinError`]
+//! — across the whole input space, not just the happy path.
+
+mod support;
 
 use proptest::prelude::*;
 use streamlab_net::TcpInfo;
@@ -107,41 +108,35 @@ fn mix<T>(v: &mut [T], seed: u64) {
     }
 }
 
-/// Build two identical sinks from the same record streams: one for the
-/// production `assemble`, one for the reference join.
-fn twin_sinks(
+/// Build the sink the production join takes from the record streams.
+fn sink(
     metas: &[SessionMeta],
     players: &[PlayerChunkRecord],
     cdns: &[CdnChunkRecord],
-) -> (TelemetrySink, TelemetrySink) {
-    let mut a = TelemetrySink::new();
-    let mut b = TelemetrySink::new();
+) -> TelemetrySink {
+    let mut sink = TelemetrySink::new();
     for m in metas {
-        a.session(m.clone());
-        b.session(m.clone());
+        sink.session(m.clone());
     }
     for p in players {
-        a.player_chunk(p.clone());
-        b.player_chunk(p.clone());
+        sink.player_chunk(p.clone());
     }
     for c in cdns {
-        a.cdn_chunk(c.clone());
-        b.cdn_chunk(c.clone());
+        sink.cdn_chunk(c.clone());
     }
-    (a, b)
+    sink
 }
 
-/// Assert `join` ≡ `join_reference` on identical sinks. Datasets are
-/// compared via their serialized form (full structural equality, no
+/// Assert `join` ≡ `join_reference` on the same record streams. Datasets
+/// are compared via their serialized form (full structural equality, no
 /// hand-picked fields); errors must match exactly.
 fn assert_equivalent(
     metas: &[SessionMeta],
     players: &[PlayerChunkRecord],
     cdns: &[CdnChunkRecord],
 ) {
-    let (fast_sink, ref_sink) = twin_sinks(metas, players, cdns);
-    let fast = Dataset::join(fast_sink);
-    let reference = Dataset::join_reference(ref_sink);
+    let fast = Dataset::join(sink(metas, players, cdns));
+    let reference = support::join_reference(metas, players, cdns);
     match (fast, reference) {
         (Ok(f), Ok(r)) => {
             let fj = serde_json::to_string(&f).expect("serialize");
@@ -159,7 +154,7 @@ fn assert_equivalent(
 
 proptest! {
     /// Engine-shaped emission (adjacent player/CDN pushes, contiguous
-    /// chunk ids, dense session ids) — the indexed fast path itself.
+    /// chunk ids, dense session ids) — arenas the join sorts together.
     /// Aborted sessions truncate the chunk stream mid-session, exactly
     /// like an abandoned player: still contiguous from zero, just short.
     #[test]
@@ -183,8 +178,8 @@ proptest! {
 
     /// Out-of-order replays: the same records arriving shuffled (players
     /// and CDN streams shuffled independently) must still produce the
-    /// identical dataset — the fast path rejects the shape and the
-    /// fallback reorders.
+    /// identical dataset — the join sorts each column on its own and pairs
+    /// the halves by key.
     #[test]
     fn shuffled_streams_match_reference(
         sessions in proptest::collection::vec(1u32..10, 1..20),
@@ -221,7 +216,7 @@ proptest! {
         let mut players = Vec::new();
         let mut cdns = Vec::new();
         for (i, &chunks) in sessions.iter().enumerate() {
-            // Fault 4: widen the id space so the density guard trips.
+            // Fault 4: widen the id space (sparse session ids).
             let id = i as u64 * stride;
             metas.push(meta(id));
             for c in 0..chunks {
@@ -248,7 +243,7 @@ proptest! {
                 let dup = players[i].clone();
                 players.push(dup);
             }
-            _ => {} // sparse ids alone (stride > 1 exercises the guard)
+            _ => {} // sparse ids alone (stride > 1)
         }
         assert_equivalent(&metas, &players, &cdns);
     }

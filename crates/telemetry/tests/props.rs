@@ -2,6 +2,8 @@
 //! streams joins totally; any inconsistency is rejected with the right
 //! error.
 
+mod support;
+
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -256,12 +258,16 @@ proptest! {
     /// shards, each held in RAM, sealed into segments, or partly both,
     /// taken as runs in either shard order) must reproduce the
     /// unpartitioned in-RAM join exactly — same dataset bytes, same
-    /// per-session chunk ordering, same total request count.
+    /// per-session chunk ordering, same total request count. With
+    /// `split_halves` each session's CDN records go to the next shard, so
+    /// its player and CDN halves are held by different runs and join by
+    /// key, as the reference joins them.
     #[test]
     fn any_partition_of_sessions_joins_identically(
         sessions in proptest::collection::vec((1u32..12, 0u8..8), 1..30),
         modes in proptest::collection::vec(0u8..3, 8),
         reverse_merge in any::<bool>(),
+        split_halves in any::<bool>(),
     ) {
         let n_shards = 1 + sessions.iter().map(|&(_, s)| s).max().unwrap_or(0) as usize;
         let dir = scratch();
@@ -274,13 +280,15 @@ proptest! {
             .collect();
         for (id, &(chunks, shard)) in sessions.iter().enumerate() {
             let id = id as u64;
+            let shard = shard as usize;
+            let cdn_shard = if split_halves { (shard + 1) % n_shards } else { shard };
             reference.session(meta(id, false));
-            shards[shard as usize].session(meta(id, false));
+            shards[shard].session(meta(id, false));
             for c in 0..chunks {
                 reference.player_chunk(player(id, c));
                 reference.cdn_chunk(cdn(id, c));
-                shards[shard as usize].player_chunk(player(id, c));
-                shards[shard as usize].cdn_chunk(cdn(id, c));
+                shards[shard].player_chunk(player(id, c));
+                shards[cdn_shard].cdn_chunk(cdn(id, c));
             }
         }
 
@@ -328,27 +336,31 @@ proptest! {
         let s = (dup_session % sessions.len() as u64) as usize;
         let c = dup_chunk % sessions[s];
         let dir = scratch();
-        let mut reference = TelemetrySink::new();
+        let (mut metas, mut players, mut cdns) = (Vec::new(), Vec::new(), Vec::new());
         let mut shards = vec![shard_sink(modes[0], &dir, 0), shard_sink(modes[1], &dir, 1)];
         for (id, &chunks) in sessions.iter().enumerate() {
             let id = id as u64;
-            for sink in [&mut reference, &mut shards[0]] {
-                sink.session(meta(id, false));
-                for c in 0..chunks {
-                    sink.player_chunk(player(id, c));
-                    sink.cdn_chunk(cdn(id, c));
-                }
+            metas.push(meta(id, false));
+            shards[0].session(meta(id, false));
+            for c in 0..chunks {
+                players.push(player(id, c));
+                cdns.push(cdn(id, c));
+                shards[0].player_chunk(player(id, c));
+                shards[0].cdn_chunk(cdn(id, c));
             }
         }
         // The second run holds one more copy of a chunk the first has.
-        for sink in [&mut reference, &mut shards[1]] {
-            sink.player_chunk(player(s as u64, c));
-            sink.cdn_chunk(cdn(s as u64, c));
-        }
+        players.push(player(s as u64, c));
+        cdns.push(cdn(s as u64, c));
+        shards[1].player_chunk(player(s as u64, c));
+        shards[1].cdn_chunk(cdn(s as u64, c));
         seal(&mut shards, &modes);
 
         let want = JoinError::DuplicateKey(SessionId(s as u64), ChunkIndex(c));
-        prop_assert_eq!(Dataset::join_reference(reference).expect_err("duplicate"), want.clone());
+        prop_assert_eq!(
+            support::join_reference(&metas, &players, &cdns).expect_err("duplicate"),
+            want.clone()
+        );
         prop_assert_eq!(Dataset::join_runs(shards).expect_err("duplicate"), want);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -7,13 +7,14 @@
 //!    variable-length `tcp_info` snapshot vectors — survives
 //!    `write_segment` → `read_segment` unchanged.
 //! 2. Streaming assembly is observationally identical to the in-RAM
-//!    joins: a spilled sink drained through [`SessionStream`] or joined
+//!    join: a spilled sink drained through [`SessionStream`] or joined
 //!    through [`Dataset::join`] produces the same dataset bytes (or
-//!    the same [`JoinError`]) as `join` and `join_reference` on an
-//!    identical in-RAM sink — over engine-shaped, shuffled, and faulted
-//!    streams alike. (Error parity is only guaranteed for single-violation
-//!    streams: with several violations the paths may legitimately detect
-//!    a different one first, so the generators inject at most one fault.)
+//!    the same [`JoinError`]) as `join` on an identical in-RAM sink and
+//!    as the reference join (`support::join_reference`) on the same
+//!    records — over engine-shaped, shuffled, and faulted streams alike.
+//!    (Error parity is only guaranteed for single-violation streams: with
+//!    several violations the paths may legitimately detect a different
+//!    one first, so the generators inject at most one fault.)
 //! 3. Segment sealing degrades, never dies: a crash-point sweep over every
 //!    storage operation of a clean spill run must leave the sink able to
 //!    produce the exact reference dataset, with every segment it still
@@ -22,6 +23,8 @@
 //! 4. The seal sorts its arenas in place, yet every segment it writes
 //!    holds exactly the rows — and bytes — that moving the arenas into a
 //!    `Vec` of pairs, sorting it and unzipping it would have written.
+
+mod support;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -339,7 +342,7 @@ fn assert_spill_equivalent(
     cdns: &[CdnChunkRecord],
     threshold: usize,
 ) {
-    let reference = Dataset::join_reference(in_ram_sink(metas, players, cdns));
+    let reference = support::join_reference(metas, players, cdns);
     let fast = Dataset::join(in_ram_sink(metas, players, cdns));
     let (sink_a, dir_a) = spilled_sink(metas, players, cdns, threshold);
     let spilled_segments = sink_a.sealed_segments().len();
@@ -516,8 +519,7 @@ fn spill_with_storage(
 #[test]
 fn crash_at_every_seal_failpoint_degrades_without_data_loss() {
     let (metas, players, cdns) = sweep_records();
-    let reference =
-        Dataset::join_reference(in_ram_sink(&metas, &players, &cdns)).expect("reference join");
+    let reference = support::join_reference(&metas, &players, &cdns).expect("reference join");
     let want = serde_json::to_string(&reference).expect("serialize reference");
 
     // Clean run on a counting handle: enumerates the failpoints and
