@@ -262,7 +262,7 @@ fn bench_large(
         cfg.threads = threads;
         cfg.spill = Some(SpillConfig {
             dir: dir.to_string_lossy().into_owned(),
-            threshold: 262_144,
+            threshold: SpillConfig::DEFAULT_THRESHOLD,
         });
         cfg
     };

@@ -176,7 +176,7 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         threads: 1,
         shard_deadline: None,
         spill_dir: None,
-        spill_threshold: 262_144,
+        spill_threshold: streamlab::SpillConfig::DEFAULT_THRESHOLD,
         audit: false,
         resume: None,
         metrics_out: None,

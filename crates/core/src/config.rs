@@ -37,6 +37,11 @@ pub struct SpillConfig {
     pub threshold: usize,
 }
 
+impl SpillConfig {
+    /// The `--spill-threshold` a spilled run uses unless told otherwise.
+    pub const DEFAULT_THRESHOLD: usize = 262_144;
+}
+
 /// Full configuration of one simulated measurement window.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimulationConfig {

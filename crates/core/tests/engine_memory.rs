@@ -76,16 +76,15 @@ static ALLOC: Counting = Counting;
 /// Building runtimes at arrival, sealing in place and sharing one group
 /// buffer peak at 35,219,756 bytes. Arenas that grow by need, to 128 rows
 /// of capacity at this threshold, instead of reserving 97 rows up front,
-/// peak at 35,226,104. Most of the rest is the warmed fleet.
+/// peak at 35,226,400. Most of the rest is the warmed fleet.
 const PEAK_BYTES_MAX: usize = 35_800_000;
 
-/// The CLI's default `--spill-threshold`: no shard of a tiny seed reaches
-/// it, so each shard seals one segment when its loop drains.
-const DEFAULT_THRESHOLD: usize = 262_144;
-
-/// The same peak at [`DEFAULT_THRESHOLD`]. Reserving the threshold's rows
-/// in both arenas of every shard sink up front peaked at 88,892,790
-/// bytes; arenas that grow to what the shard holds peak at 37,283,183.
+/// The same peak at the CLI's default `--spill-threshold`
+/// ([`SpillConfig::DEFAULT_THRESHOLD`]), which no shard of a tiny seed
+/// reaches, so each shard seals one segment when its loop drains.
+/// Reserving the threshold's rows in both arenas of every shard sink up
+/// front peaked at 88,892,790 bytes; arenas that grow to what the shard
+/// holds peak at 37,283,197.
 const DEFAULT_THRESHOLD_PEAK_BYTES_MAX: usize = 38_000_000;
 
 /// Run the one-thread tiny sweep seed spilled at `threshold` rows and
@@ -123,7 +122,7 @@ fn spilled_sweep_seed_heap_peak_is_bounded() {
         peak <= PEAK_BYTES_MAX,
         "the spilled sweep seed's heap peaked at {peak} bytes, over {PEAK_BYTES_MAX}"
     );
-    let peak = spilled_seed_heap_peak(DEFAULT_THRESHOLD);
+    let peak = spilled_seed_heap_peak(SpillConfig::DEFAULT_THRESHOLD);
     assert!(
         peak <= DEFAULT_THRESHOLD_PEAK_BYTES_MAX,
         "at the default threshold the spilled sweep seed's heap peaked at {peak} bytes, \

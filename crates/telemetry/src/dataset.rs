@@ -219,15 +219,21 @@ pub(crate) fn cdn_key(c: &CdnChunkRecord) -> SortKey {
 /// the shape the engines push) are sorted together by [`sort_paired`], any
 /// others column by column. Arenas already sorted cost one read-only pass.
 pub(crate) fn sort_run(player: &mut [PlayerChunkRecord], cdn: &mut [CdnChunkRecord]) {
+    // One read-only pass tells whether the arenas are paired and whether
+    // they are already in key order.
+    let mut sorted = true;
+    let mut prev = None;
     let paired = player.len() == cdn.len()
-        && player
-            .iter()
-            .zip(&*cdn)
-            .all(|(p, c)| player_key(p) == cdn_key(c));
+        && player.iter().zip(&*cdn).all(|(p, c)| {
+            let key = player_key(p);
+            sorted &= prev <= Some(key);
+            prev = Some(key);
+            key == cdn_key(c)
+        });
     if !paired {
         player.sort_unstable_by_key(player_key);
         cdn.sort_unstable_by_key(cdn_key);
-    } else if !player.is_sorted_by_key(player_key) {
+    } else if !sorted {
         sort_paired(player, cdn);
     }
 }

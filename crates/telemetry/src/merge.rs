@@ -3,16 +3,20 @@
 //! The join takes the engine's per-shard sinks as *runs*. Each sink holds
 //! its chunk records as sorted runs of its own: one per sealed segment,
 //! streamed one row group at a time, plus its in-RAM arenas, sorted in
-//! place (`dataset::sort_run`; a sealed sink's already are). A
-//! run is two columns, player halves and CDN halves, each ascending on
-//! `(session, chunk)`. A loser tree over the runs' head keys — `O(log k)`
-//! comparisons per step — yields the keys in ascending order, and the
-//! merge gathers every half the runs hold under a key before it applies
-//! the join rule:
+//! place (`dataset::sort_run`; a sealed sink's already are). A run is two
+//! columns, player halves and CDN halves, each ascending on
+//! `(session, chunk)`. A tournament tree over the runs' head keys —
+//! `O(log k)` comparisons per step — yields the sessions in ascending
+//! order, and the merge steps once per session: it walks the halves the
+//! runs hold of the session chunk by chunk — straight from the one run
+//! that holds them all in the engine's shape, or gathered into one run
+//! when several hold some — and applies the join rule to each key:
 //!
 //! - exactly one player half and one CDN half make a chunk;
-//! - two CDN halves, or a key no higher than the previous key, are a
-//!   [`JoinError::DuplicateKey`];
+//! - two CDN halves are a [`JoinError::DuplicateKey`], and so is a run
+//!   that falls back (a sort bug or a corrupt run): a session the merge
+//!   has passed, or, in a session one run holds, a chunk no higher than
+//!   the one before;
 //! - a player half with no CDN half, or a second player half, is a
 //!   [`JoinError::OrphanPlayerRecord`];
 //! - a CDN half on its own is a [`JoinError::OrphanCdnRecord`];
@@ -31,6 +35,7 @@ use std::path::Path;
 use crate::dataset::{cdn_key, player_key, sort_run, JoinError, SessionData, TelemetrySink};
 use crate::records::{CdnChunkRecord, ChunkRecord, PlayerChunkRecord, SessionMeta};
 use crate::segment::{SegmentMeta, SegmentReader, SortKey};
+use streamlab_workload::SessionId;
 
 /// One key-sorted run: a player column and a CDN column, each ascending by
 /// key, and for a sealed segment the reader that refills both, one row
@@ -58,23 +63,70 @@ impl Run {
         p.into_iter().chain(c).min()
     }
 
-    /// Move the run's halves under `key` into `halves`, then refill the
-    /// columns from the segment, reading its next group through `body`.
+    /// How many rows of `session` lead each column.
+    fn leading(&self, session: SessionId) -> (usize, usize) {
+        let p = self.player.as_slice().iter();
+        let c = self.cdn.as_slice().iter();
+        (
+            p.take_while(|p| p.session == session).count(),
+            c.take_while(|c| c.session == session).count(),
+        )
+    }
+
+    /// Move every half the run holds of `session` onto `player` and
+    /// `cdn`, refilling the columns from the segment as they drain.
     fn take(
         &mut self,
-        key: SortKey,
-        halves: &mut Halves,
+        session: SessionId,
+        player: &mut Vec<PlayerChunkRecord>,
+        cdn: &mut Vec<CdnChunkRecord>,
         body: &mut Vec<u8>,
     ) -> Result<(), JoinError> {
-        if self.player.as_slice().first().map(player_key) == Some(key) {
-            halves.player = self.player.next();
-            halves.players += 1;
+        while self.head().is_some_and(|k| k.0 == session) {
+            let (p, c) = self.leading(session);
+            player.extend(self.player.by_ref().take(p));
+            cdn.extend(self.cdn.by_ref().take(c));
+            self.refill(body)?;
         }
-        if self.cdn.as_slice().first().map(cdn_key) == Some(key) {
-            halves.cdn = self.cdn.next();
-            halves.cdns += 1;
+        Ok(())
+    }
+
+    /// Join every half the run holds of `session` chunk by chunk, by the
+    /// rule in the module docs, refilling the columns from the segment as
+    /// they drain. Each pair moves straight into the session's vector.
+    fn join(
+        &mut self,
+        session: SessionId,
+        body: &mut Vec<u8>,
+    ) -> Result<Vec<ChunkRecord>, JoinError> {
+        let mut chunks = Vec::with_capacity(self.leading(session).0);
+        let mut prev = None;
+        loop {
+            self.refill(body)?;
+            let Some(key) = self.head().filter(|k| k.0 == session) else {
+                return Ok(chunks);
+            };
+            // A run that does not ascend is a sort bug or a corrupt run;
+            // report it rather than join out of order.
+            if prev >= Some(key) {
+                return Err(JoinError::DuplicateKey(key.0, key.1));
+            }
+            prev = Some(key);
+            // How many halves of each side the key has, counted to two.
+            let p = self.player.as_slice().iter().take(2);
+            let c = self.cdn.as_slice().iter().take(2);
+            let n_players = p.take_while(|p| player_key(p) == key).count();
+            let n_cdns = c.take_while(|c| cdn_key(c) == key).count();
+            match (n_players, n_cdns) {
+                (_, 2) => return Err(JoinError::DuplicateKey(key.0, key.1)),
+                (1, 1) => chunks.push(ChunkRecord {
+                    player: self.player.next().expect("counted"),
+                    cdn: self.cdn.next().expect("counted"),
+                }),
+                (0, _) => return Err(JoinError::OrphanCdnRecord(key.0, key.1)),
+                _ => return Err(JoinError::OrphanPlayerRecord(key.0, key.1)),
+            }
         }
-        self.refill(body)
     }
 
     fn refill(&mut self, body: &mut Vec<u8>) -> Result<(), JoinError> {
@@ -95,48 +147,28 @@ impl Run {
     }
 }
 
-/// Every half the runs hold under one key: the last player and CDN half
-/// taken, and how many of each there were.
-#[derive(Default)]
-struct Halves {
-    player: Option<PlayerChunkRecord>,
-    cdn: Option<CdnChunkRecord>,
-    players: u32,
-    cdns: u32,
-}
-
-impl Halves {
-    /// The join rule for one key (see the module docs).
-    fn join(self, (session, chunk): SortKey) -> Result<ChunkRecord, JoinError> {
-        match (self.player, self.cdn) {
-            _ if self.cdns > 1 => Err(JoinError::DuplicateKey(session, chunk)),
-            (Some(player), Some(cdn)) if self.players == 1 => Ok(ChunkRecord { player, cdn }),
-            (None, _) => Err(JoinError::OrphanCdnRecord(session, chunk)),
-            _ => Err(JoinError::OrphanPlayerRecord(session, chunk)),
-        }
-    }
-}
-
-/// Loser-tree merge over `k` sorted runs: `tree[0]` holds the run with the
-/// smallest head key, the internal nodes hold losers; replaying one run
-/// after its head changed costs `O(log k)` key comparisons. The heads are
-/// keys only: a row moves once, out of its run and into its session.
+/// Tournament (winner) tree over `k` sorted runs: leaf `k + i` is run
+/// `i`, every inner node `n` keeps whichever of its children `2n` and
+/// `2n + 1` has the smaller head key, and node 1 the run with the smallest
+/// head key overall. After a run's head changes, replaying its path to the
+/// root costs `O(log k)` key comparisons. The heads are keys only; rows
+/// never pass through the tree.
 ///
 /// Runs are refilled one at a time, so one group buffer, `body`, serves
 /// every segment run: the merge holds each run's decoded group but only
 /// one group's raw bytes.
-struct LoserTree {
+struct Tournament {
     runs: Vec<Run>,
     heads: Vec<Option<SortKey>>,
-    tree: Vec<usize>,
-    k: usize,
+    /// `2k` nodes; node 0 is unused.
+    nodes: Vec<usize>,
     body: Vec<u8>,
+    /// The runs holding the session being joined (reused).
+    holders: Vec<usize>,
 }
 
-const EMPTY: usize = usize::MAX;
-
-impl LoserTree {
-    fn new(mut runs: Vec<Run>) -> Result<LoserTree, JoinError> {
+impl Tournament {
+    fn new(mut runs: Vec<Run>) -> Result<Tournament, JoinError> {
         let k = runs.len().max(1);
         let mut body = Vec::new();
         let mut heads = Vec::with_capacity(k);
@@ -145,88 +177,93 @@ impl LoserTree {
             heads.push(run.head());
         }
         heads.resize(k, None);
-        let mut tree = LoserTree {
+        let mut nodes = vec![0; k];
+        nodes.extend(0..k);
+        let mut tree = Tournament {
             runs,
             heads,
-            tree: vec![EMPTY; k],
-            k,
+            nodes,
             body,
+            holders: Vec::new(),
         };
-        tree.build();
+        for n in (1..k).rev() {
+            tree.nodes[n] = tree.play(tree.nodes[2 * n], tree.nodes[2 * n + 1]);
+        }
         Ok(tree)
     }
 
-    /// Bottom-up tournament build: leaves live at node indices `k..2k`,
-    /// each internal node keeps its subtree's loser, the root slot keeps
-    /// the overall winner.
-    fn build(&mut self) {
-        let k = self.k;
-        if k == 1 {
-            self.tree[0] = 0;
-            return;
-        }
-        let mut winners = vec![EMPTY; 2 * k];
-        for i in 0..k {
-            winners[k + i] = i;
-        }
-        for node in (1..k).rev() {
-            let l = winners[2 * node];
-            let r = winners[2 * node + 1];
-            let (w, loser) = if self.beats(r, l) { (r, l) } else { (l, r) };
-            winners[node] = w;
-            self.tree[node] = loser;
-        }
-        self.tree[0] = winners[1];
-    }
-
-    /// `a` beats `b` (strictly smaller key; exhausted runs lose to
-    /// everything; ties break toward the lower run index so the merge is
-    /// deterministic even on duplicate keys).
-    fn beats(&self, a: usize, b: usize) -> bool {
-        if a == EMPTY {
-            return false;
-        }
-        if b == EMPTY {
-            return true;
-        }
-        match (self.heads[a], self.heads[b]) {
-            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
+    /// The run with the smaller head key; exhausted runs lose to every
+    /// other, and ties go to the lower run index so the merge is
+    /// deterministic even on duplicate keys.
+    fn play(&self, a: usize, b: usize) -> usize {
+        let rank = |i: usize| (self.heads[i].is_none(), self.heads[i], i);
+        if rank(b) < rank(a) {
+            b
+        } else {
+            a
         }
     }
 
-    /// Replay run `i` from its leaf to the root after its head changed.
+    /// Replay run `i`'s path to the root after its head changed.
     fn replay(&mut self, i: usize) {
-        let mut winner = i;
-        let mut node = (i + self.k) / 2;
-        while node > 0 {
-            let other = self.tree[node];
-            if self.beats(other, winner) {
-                self.tree[node] = winner;
-                winner = other;
-            }
-            node /= 2;
+        let mut n = (self.nodes.len() / 2 + i) / 2;
+        while n > 0 {
+            self.nodes[n] = self.play(self.nodes[2 * n], self.nodes[2 * n + 1]);
+            n /= 2;
         }
-        self.tree[0] = winner;
+    }
+
+    /// The run with the smallest head key.
+    fn winner(&self) -> usize {
+        self.nodes[1]
     }
 
     /// The smallest head key across all runs.
     fn min_key(&self) -> Option<SortKey> {
-        self.heads.get(self.tree[0]).copied().flatten()
+        self.heads[self.winner()]
     }
 
-    /// Take every half the runs hold under `key`, the smallest head key.
-    fn take(&mut self, key: SortKey) -> Result<Halves, JoinError> {
-        let mut halves = Halves::default();
-        while self.min_key() == Some(key) {
-            let w = self.tree[0];
-            self.runs[w].take(key, &mut halves, &mut self.body)?;
+    /// Join every half the runs hold of `session`, the smallest head
+    /// key's session. The runs holding it step aside from the tree while
+    /// it is joined: one run holding it all (the engine's shape, since a
+    /// session lives in one shard) is joined straight from its columns;
+    /// halves several runs hold are first gathered into one run.
+    fn join_session(&mut self, session: SessionId) -> Result<Vec<ChunkRecord>, JoinError> {
+        let mut holders = std::mem::take(&mut self.holders);
+        while self.min_key().is_some_and(|k| k.0 == session) {
+            let w = self.winner();
+            holders.push(w);
+            self.heads[w] = None;
+            self.replay(w);
+        }
+        let chunks = match holders[..] {
+            [w] => self.runs[w].join(session, &mut self.body),
+            _ => self.gather(session, &holders),
+        };
+        for &w in &holders {
             self.heads[w] = self.runs[w].head();
             self.replay(w);
         }
-        Ok(halves)
+        holders.clear();
+        self.holders = holders;
+        chunks
+    }
+
+    /// Join the halves of `session` that the `holders` hold between them:
+    /// each run's take ascends, and a stable sort by chunk interleaves
+    /// them, keeping halves under one key adjacent in run order.
+    fn gather(
+        &mut self,
+        session: SessionId,
+        holders: &[usize],
+    ) -> Result<Vec<ChunkRecord>, JoinError> {
+        let (mut player, mut cdn) = (Vec::new(), Vec::new());
+        for &w in holders {
+            self.runs[w].take(session, &mut player, &mut cdn, &mut self.body)?;
+        }
+        player.sort_by_key(|p| p.chunk);
+        cdn.sort_by_key(|c| c.chunk);
+        Run::in_ram(player, cdn).join(session, &mut self.body)
     }
 }
 
@@ -261,9 +298,9 @@ pub struct SessionStream {
 }
 
 struct Merged {
-    tree: LoserTree,
+    tree: Tournament,
     metas: std::iter::Peekable<std::vec::IntoIter<SessionMeta>>,
-    prev_key: Option<SortKey>,
+    prev: Option<SessionId>,
 }
 
 impl SessionStream {
@@ -311,26 +348,23 @@ impl Merged {
             metas.extend(sessions);
         }
         Ok(Merged {
-            tree: LoserTree::new(runs)?,
+            tree: Tournament::new(runs)?,
             metas: sorted_metas(metas).into_iter().peekable(),
-            prev_key: None,
+            prev: None,
         })
     }
 
     fn next_session(&mut self) -> Result<Option<SessionData>, JoinError> {
-        let Some((session, _)) = self.tree.min_key() else {
+        let Some((session, chunk)) = self.tree.min_key() else {
             return Ok(None);
         };
-        let mut chunks = Vec::new();
-        while let Some(key) = self.tree.min_key().filter(|k| k.0 == session) {
-            // Each run ascends, so a key that does not is a sort bug or a
-            // corrupt run; report it rather than join out of order.
-            if self.prev_key.is_some_and(|prev| key <= prev) {
-                return Err(JoinError::DuplicateKey(key.0, key.1));
-            }
-            self.prev_key = Some(key);
-            chunks.push(self.tree.take(key)?.join(key)?);
+        // Each run ascends, so a session that comes round again is a sort
+        // bug or a corrupt run; report it rather than join out of order.
+        if self.prev >= Some(session) {
+            return Err(JoinError::DuplicateKey(session, chunk));
         }
+        self.prev = Some(session);
+        let chunks = self.tree.join_session(session)?;
         // Advance the meta cursor to this session; metadata-only sessions
         // with no chunks are dropped.
         while self.metas.next_if(|m| m.session < session).is_some() {}
@@ -373,7 +407,7 @@ pub fn validate_sealed(sealed: &[SegmentMeta]) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use streamlab_workload::{ChunkIndex, SessionId};
+    use streamlab_workload::ChunkIndex;
 
     /// An in-RAM run holding both halves of each key.
     fn run(keys: &[(u64, u32)]) -> Run {
@@ -383,25 +417,27 @@ mod tests {
         )
     }
 
-    /// Join every key the tree yields, in order.
-    fn drain(mut tree: LoserTree) -> Vec<(u64, u32)> {
-        let mut keys = Vec::new();
-        while let Some(key) = tree.min_key() {
-            tree.take(key).unwrap().join(key).unwrap();
-            keys.push((key.0 .0, key.1 .0));
+    /// Join every session the tree yields, in order, and list the keys.
+    fn drain(mut tree: Tournament) -> Vec<(u64, u32)> {
+        let mut keys: Vec<(u64, u32)> = Vec::new();
+        while let Some((session, _)) = tree.min_key() {
+            // Each session is joined whole, once.
+            assert!(keys.last().is_none_or(|k| k.0 < session.0));
+            let chunks = tree.join_session(session).unwrap();
+            keys.extend(chunks.iter().map(|c| (session.0, c.chunk().0)));
         }
         keys
     }
 
     #[test]
-    fn loser_tree_merges_three_runs() {
+    fn tree_merges_three_runs() {
         let runs = vec![
             run(&[(0, 0), (2, 0), (2, 1)]),
             run(&[(1, 0), (1, 1)]),
             run(&[(0, 1), (3, 0)]),
         ];
         assert_eq!(
-            drain(LoserTree::new(runs).unwrap()),
+            drain(Tournament::new(runs).unwrap()),
             vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
         );
     }
@@ -458,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn loser_tree_merges_many_overlapping_runs() {
+    fn tree_merges_many_overlapping_runs() {
         // Reproduce the engine's spill shape: 1000 keys in time order,
         // chopped into 64-row batches, each batch sorted — ranges overlap.
         let mut stream: Vec<(u64, u32)> = Vec::new();
@@ -473,7 +509,7 @@ mod tests {
             b.sort_unstable();
             runs.push(run(&b));
         }
-        let keys = drain(LoserTree::new(runs).unwrap());
+        let keys = drain(Tournament::new(runs).unwrap());
         assert_eq!(keys.len(), 1000);
         let mut expect = stream.clone();
         expect.sort_unstable();
@@ -481,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn loser_tree_merges_segment_runs() {
+    fn tree_merges_segment_runs() {
         use streamlab_supervisor::Storage;
         let dir = std::env::temp_dir().join(format!("streamlab-segrun-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -492,9 +528,17 @@ mod tests {
                 stream.push((s, c));
             }
         }
+        let mut batches: Vec<Vec<(u64, u32)>> = stream.chunks(64).map(<[_]>::to_vec).collect();
+        // One segment of more rows than a group: a session runs across the
+        // group boundary, so its run refills in the middle of the session.
+        let big: Vec<(u64, u32)> = (40..190u64)
+            .flat_map(|s| (0..30u32).map(move |c| (s, c)))
+            .collect();
+        assert!(big.len() > crate::segment::GROUP_ROWS);
+        stream.extend(&big);
+        batches.push(big);
         let mut runs = Vec::new();
-        for (i, batch) in stream.chunks(64).enumerate() {
-            let mut b = batch.to_vec();
+        for (i, mut b) in batches.into_iter().enumerate() {
             b.sort_unstable();
             let p: Vec<_> = b.iter().map(|&(s, c)| mk_player(s, c)).collect();
             let c: Vec<_> = b.iter().map(|&(s, c)| mk_cdn(s, c)).collect();
@@ -503,10 +547,10 @@ mod tests {
                 .unwrap();
             runs.push(open_run(&meta).unwrap());
         }
-        let keys = drain(LoserTree::new(runs).unwrap());
+        let keys = drain(Tournament::new(runs).unwrap());
         let mut expect = stream.clone();
         expect.sort_unstable();
-        assert_eq!(keys.len(), 1000, "row count");
+        assert_eq!(keys.len(), 5500, "row count");
         assert_eq!(keys, expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
