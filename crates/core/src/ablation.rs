@@ -52,7 +52,7 @@ const FIG15_MAX_CHUNK: u32 = 5;
 
 /// One session reduced to what [`AblationMetrics`] and the audit's
 /// [`DatasetFacts`] read of it.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct SessionSummary {
     session: u64,
     chunks: u32,
@@ -75,17 +75,18 @@ struct SessionSummary {
 }
 
 /// The one implementation of a run's [`AblationMetrics`] and of the
-/// [`DatasetFacts`] its audit checks: joined sessions are folded one at a
-/// time, in session order, into small per-session summaries, so a streamed
-/// run never holds its chunks. Each hit chunk's server latency is kept for
-/// the median.
+/// [`DatasetFacts`] its audit checks: sessions are folded one at a time
+/// into small per-session summaries. Each hit chunk's server latency is
+/// kept for the median.
 ///
-/// A materialized run's dataset is proxy-filtered already
-/// ([`RunFold::over`]); a stream yields the raw join, so its fold applies
-/// §3's filter to the summaries ([`RunFold::filter_proxies`]) before they
-/// are reduced. Medians and bins go through the same [`Cdf`] and
-/// [`BinnedSeries`] the figures use, and sums run in session order, so
-/// the numbers are bit-identical to computing them on the filtered
+/// A materialized run's dataset is joined and proxy-filtered already
+/// ([`RunFold::over`]). A sweep seed never builds one: each shard folds
+/// its sessions as they end ([`crate::Simulation`]'s folded run), the
+/// shards' parts merge in ascending session id ([`RunFold::merge`]), and
+/// §3's filter runs over the summaries ([`RunFold::filter_proxies`])
+/// before they are reduced. Medians and bins go through the same [`Cdf`]
+/// and [`BinnedSeries`] the figures use, and sums run in session order,
+/// so the numbers are bit-identical to computing them on the filtered
 /// [`streamlab_telemetry::Dataset`].
 #[derive(Debug, Default)]
 pub(crate) struct RunFold {
@@ -106,7 +107,18 @@ impl RunFold {
         fold
     }
 
-    /// Fold the next session (sessions arrive in ascending id order).
+    /// An empty fold with room for `sessions` sessions.
+    pub(crate) fn with_capacity(sessions: usize) -> RunFold {
+        RunFold {
+            sessions: Vec::with_capacity(sessions),
+            signals: Vec::with_capacity(sessions),
+            hit_ms: Vec::new(),
+        }
+    }
+
+    /// Fold one session. The reductions need a run's sessions in
+    /// ascending id order: fold them in that order, or fold parts and
+    /// [`RunFold::merge`] them.
     pub(crate) fn push(&mut self, s: &SessionData) {
         let (mut misses, mut ram_hits, mut hits) = (0u32, 0u32, 0u32);
         for c in &s.chunks {
@@ -151,6 +163,39 @@ impl RunFold {
                 .all(|(i, c)| c.player.chunk.0 as usize == i && c.cdn.chunk == c.player.chunk),
         });
         self.signals.push(ProxySignals::of(s));
+    }
+
+    /// Merge parts — shards' folds, each in the order its sessions ended —
+    /// into one fold in ascending session id, the order the join yields.
+    /// Each session's hit latencies move with it. Session ids are unique
+    /// across parts.
+    pub(crate) fn merge(parts: Vec<RunFold>) -> RunFold {
+        // (session id, part, index in the part, its first hit in the part)
+        let mut order: Vec<(u64, u32, u32, usize)> =
+            Vec::with_capacity(parts.iter().map(|p| p.sessions.len()).sum());
+        let index = |i: usize| u32::try_from(i).expect("fewer than 2^32 shards and sessions");
+        for (p, part) in parts.iter().enumerate() {
+            let mut hit = 0;
+            for (i, s) in part.sessions.iter().enumerate() {
+                order.push((s.session, index(p), index(i), hit));
+                hit += s.hits as usize;
+            }
+        }
+        order.sort_unstable_by_key(|&(session, ..)| session);
+        let mut merged = RunFold::with_capacity(order.len());
+        merged
+            .hit_ms
+            .reserve_exact(parts.iter().map(|p| p.hit_ms.len()).sum());
+        for (_, p, i, hit) in order {
+            let (part, i) = (&parts[p as usize], i as usize);
+            let s = part.sessions[i];
+            merged
+                .hit_ms
+                .extend_from_slice(&part.hit_ms[hit..hit + s.hits as usize]);
+            merged.sessions.push(s);
+            merged.signals.push(part.signals[i]);
+        }
+        merged
     }
 
     /// Sessions folded (and kept, after [`RunFold::filter_proxies`]).

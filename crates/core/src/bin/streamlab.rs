@@ -36,14 +36,17 @@
 //!          --shard-deadline SECS        (watchdog: cancel a shard that
 //!                                        makes no progress for SECS wall
 //!                                        seconds and keep the rest)
-//!          --spill-dir DIR              (out-of-core telemetry: seal
-//!                                        sorted columnar segments into
-//!                                        DIR instead of keeping every
+//!          --spill-dir DIR              (run only: out-of-core telemetry,
+//!                                        sealing sorted columnar segments
+//!                                        into DIR instead of keeping every
 //!                                        chunk record in RAM; output is
-//!                                        byte-identical either way)
-//!          --spill-threshold ROWS       (rows per shard buffered before
-//!                                        a segment is sealed;
-//!                                        default 262144)
+//!                                        byte-identical either way. A
+//!                                        sweep accepts it and writes
+//!                                        nothing there: it folds each
+//!                                        session as it ends)
+//!          --spill-threshold ROWS       (run only: rows per shard
+//!                                        buffered before a segment is
+//!                                        sealed; default 262144)
 //!          --audit                      (verify structural invariants of
 //!                                        the finished run and fail loudly
 //!                                        on any violation)

@@ -27,7 +27,8 @@ pub enum Scale {
 /// `threshold` rows, so peak RSS stays flat in chunk volume; the join
 /// streams the segments back through the same sort-merge that joins
 /// in-RAM runs. Inert (`None`) by default; output is byte-identical either
-/// way at any thread count.
+/// way at any thread count. Only runs that join spill: a sweep seed folds
+/// each session as it ends and ignores it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpillConfig {
     /// Directory segment files are written into (created if missing).

@@ -124,12 +124,6 @@ impl JobRunner for SweepRunner {
         // but a driver-level kill fault smuggled into a served job would
         // kill the daemon, not the job. Never honor it here.
         cfg.faults.kill_after_seeds = 0;
-        // Same per-seed spill layout as `sweep --checkpoint`: one
-        // subdirectory per seed, so the recorded manifests validate
-        // independently on resume.
-        if let Some(sc) = &cfg.spill {
-            cfg.spill = Some(crate::sweep::seed_spill(sc, seed));
-        }
 
         let run = run_seed(cfg, spec.audit).map_err(|e| {
             let kind = match e {
@@ -145,7 +139,7 @@ impl JobRunner for SweepRunner {
         if !run.shard_errors.is_empty() {
             return Err(shard_failure(seed, &run.shard_errors));
         }
-        Ok(seed_payload(&run.metrics, &run.segments))
+        Ok(seed_payload(&run.metrics))
     }
 
     fn summarize(&self, _spec: &JobSpec, per_seed: &[(u64, Value)]) -> Result<String, JobError> {

@@ -73,6 +73,23 @@ struct SpillPlan {
 }
 
 impl SpillPlan {
+    /// Resolve `cfg`'s spill settings up front, so a bad spill directory
+    /// fails the run before any simulation work happens.
+    fn resolve(cfg: &SimulationConfig) -> Result<Option<SpillPlan>, SimError> {
+        let Some(sc) = &cfg.spill else {
+            return Ok(None);
+        };
+        let dir = PathBuf::from(&sc.dir);
+        std::fs::create_dir_all(&dir).map_err(|e| {
+            SimError::Config(format!("cannot create spill dir {}: {e}", dir.display()))
+        })?;
+        Ok(Some(SpillPlan {
+            dir,
+            threshold: sc.threshold.max(1),
+            storage: ambient_storage(),
+        }))
+    }
+
     /// The per-shard [`SpillSpec`]: shard index is baked into segment
     /// file names and headers, so concurrent shards never collide and
     /// the merged stream can validate provenance.
@@ -253,9 +270,7 @@ pub struct RunOutput {
     pub shard_errors: Vec<ShardError>,
     /// Manifest of the sealed spill segments the run's telemetry streamed
     /// through (empty unless [`crate::config::SimulationConfig::spill`]
-    /// was set). The files stay on disk after the run; checkpointed
-    /// sweeps persist this manifest so a resume can validate the
-    /// segments instead of recomputing the seed.
+    /// was set). The files stay on disk after the run.
     pub segments: Vec<streamlab_telemetry::SegmentMeta>,
 }
 
@@ -266,11 +281,11 @@ pub struct RunOutput {
 /// where the dataset would not fit in RAM. The stream yields the raw join
 /// *before* §3 proxy filtering — the filter's per-prefix volume heuristic
 /// needs every session's played seconds first. Collect into a [`Dataset`]
-/// and call [`Dataset::filter_proxies`], or, as sweeps do, fold the stream
-/// into per-session summaries and apply
-/// [`streamlab_telemetry::proxy_keep_mask`] to those.
-/// Everything else the run computes (server reports, shard errors,
-/// segment manifest) is materialized as usual since those are small.
+/// and call [`Dataset::filter_proxies`], or fold the sessions into
+/// per-session summaries and apply [`streamlab_telemetry::proxy_keep_mask`]
+/// to those. Everything else the run computes (server reports, shard
+/// errors, segment manifest) is materialized as usual since those are
+/// small.
 pub struct StreamOutput {
     /// Joined sessions in ascending session-id order, assembled
     /// incrementally from the spill segments (or from RAM when the run
@@ -278,13 +293,27 @@ pub struct StreamOutput {
     pub stream: streamlab_telemetry::SessionStream,
     /// Per-server aggregates.
     pub servers: Vec<ServerReport>,
-    /// Self-telemetry; `None` unless the run was observed (a sweep
-    /// observes the seeds it audits).
-    pub metrics: Option<RunMetrics>,
     /// Shards whose worker panicked (sharded engine only).
     pub shard_errors: Vec<ShardError>,
     /// Manifest of the sealed spill segments backing the stream.
     pub segments: Vec<streamlab_telemetry::SegmentMeta>,
+}
+
+/// Everything a folded run produces ([`Simulation::run_folded`]): each
+/// session folded into its shard's [`RunFold`] when it ended, the shards'
+/// parts merged in ascending session id, and §3's proxy filter applied to
+/// the summaries. No chunk record outlives its session.
+pub(crate) struct FoldOutput {
+    /// The kept sessions' summaries, in ascending session id.
+    pub(crate) fold: RunFold,
+    /// Sessions folded before the proxy filter: the join's raw count.
+    pub(crate) raw_sessions: usize,
+    /// Per-server aggregates.
+    pub(crate) servers: Vec<ServerReport>,
+    /// Self-telemetry; `None` unless the run was observed.
+    pub(crate) metrics: Option<RunMetrics>,
+    /// Shards whose worker failed; their sessions are not in `fold`.
+    pub(crate) shard_errors: Vec<ShardError>,
 }
 
 /// Per-PoP aggregation of the fleet's serving statistics.
@@ -368,7 +397,8 @@ pub(crate) fn load_latency_correlation(servers: &[ServerReport]) -> f64 {
 
 mod session;
 
-use session::{finalize_session, step_chunk, PlacedSession, SessionRuntime};
+use crate::ablation::RunFold;
+use session::{finalize_session, step_chunk, PlacedSession, SessionRuntime, ShardOutput};
 
 /// The end-to-end simulator.
 pub struct Simulation {
@@ -387,10 +417,7 @@ impl Simulation {
     /// monomorphize away and this path costs the same as before the
     /// observability subsystem existed.
     pub fn run(self) -> Result<RunOutput, SimError> {
-        match self.run_inner(None, None, false)? {
-            InnerOutput::Full(o) => Ok(*o),
-            InnerOutput::Streaming(_) => unreachable!("non-streaming run"),
-        }
+        self.run_joined(None, None)
     }
 
     /// Run the full measurement window and return the joined sessions as a
@@ -399,21 +426,18 @@ impl Simulation {
     /// [`crate::config::SimulationConfig::spill`]; without spill the
     /// "stream" is just the in-RAM dataset behind an iterator.
     pub fn run_streaming(self) -> Result<StreamOutput, SimError> {
-        match self.run_inner(None, None, true)? {
-            InnerOutput::Streaming(o) => Ok(*o),
-            InnerOutput::Full(_) => unreachable!("streaming run"),
-        }
-    }
-
-    /// [`Simulation::run_streaming`] with self-telemetry:
-    /// [`StreamOutput::metrics`] carries the deterministic [`SimMetrics`]
-    /// and the wall-clock [`RunProfile`], as [`Simulation::run_observed`]
-    /// does for a materialized run.
-    pub(crate) fn run_streaming_observed(self) -> Result<StreamOutput, SimError> {
-        match self.run_inner(None, Some(ObsOptions::default()), true)? {
-            InnerOutput::Streaming(o) => Ok(*o),
-            InnerOutput::Full(_) => unreachable!("streaming run"),
-        }
+        let spill = SpillPlan::resolve(&self.cfg)?;
+        let ran = self.run_inner(None, None, sink_for(spill.as_ref()), |sinks| {
+            let segments = sealed_segments(&sinks);
+            Ok((streamlab_telemetry::SessionStream::new(sinks), segments))
+        })?;
+        let (stream, segments) = ran.assembled;
+        Ok(StreamOutput {
+            stream,
+            servers: ran.servers,
+            shard_errors: ran.shard_errors,
+            segments,
+        })
     }
 
     /// Run with self-telemetry: [`RunOutput::metrics`] carries the
@@ -421,10 +445,7 @@ impl Simulation {
     /// and, with [`ObsOptions::trace`], [`RunOutput::trace_lines`] holds
     /// the structured JSONL event trace.
     pub fn run_observed(self, obs: ObsOptions) -> Result<RunOutput, SimError> {
-        match self.run_inner(None, Some(obs), false)? {
-            InnerOutput::Full(o) => Ok(*o),
-            InnerOutput::Streaming(_) => unreachable!("non-streaming run"),
-        }
+        self.run_joined(None, Some(obs))
     }
 
     /// Run against an explicit session trace instead of generating one —
@@ -435,18 +456,82 @@ impl Simulation {
     /// prefixes), which holds whenever it was generated from a config with
     /// the same `seed`, `catalog` and `population` sections.
     pub fn run_with_sessions(self, specs: Vec<SessionSpec>) -> Result<RunOutput, SimError> {
-        match self.run_inner(Some(specs), None, false)? {
-            InnerOutput::Full(o) => Ok(*o),
-            InnerOutput::Streaming(_) => unreachable!("non-streaming run"),
-        }
+        self.run_joined(Some(specs), None)
     }
 
-    fn run_inner(
+    /// Run the full measurement window and fold every session into its
+    /// shard's [`RunFold`] as it ends — the sweep and `serve` path, which
+    /// needs only per-session summaries. No chunk record outlives its
+    /// session: nothing is appended to a sink, sealed, spilled or joined,
+    /// and [`crate::config::SimulationConfig::spill`] is ignored. With
+    /// `observed` the run carries [`FoldOutput::metrics`], as
+    /// [`Simulation::run_observed`] does, for the audit.
+    pub(crate) fn run_folded(self, observed: bool) -> Result<FoldOutput, SimError> {
+        let obs = observed.then(ObsOptions::default);
+        let ran = self.run_inner(
+            None,
+            obs,
+            |_, sessions: &[PlacedSession]| RunFold::with_capacity(sessions.len()),
+            |parts| {
+                let fold = RunFold::merge(parts);
+                let raw_sessions = fold.session_count();
+                Ok((fold.filter_proxies(), raw_sessions))
+            },
+        )?;
+        let (fold, raw_sessions) = ran.assembled;
+        Ok(FoldOutput {
+            fold,
+            raw_sessions,
+            servers: ran.servers,
+            metrics: ran.metrics,
+            shard_errors: ran.shard_errors,
+        })
+    }
+
+    /// The materialized run behind [`Simulation::run`],
+    /// [`Simulation::run_observed`] and [`Simulation::run_with_sessions`]:
+    /// shard sinks joined into the dataset, then proxy-filtered.
+    fn run_joined(
         self,
         specs_override: Option<Vec<SessionSpec>>,
         obs: Option<ObsOptions>,
-        streaming: bool,
-    ) -> Result<InnerOutput, SimError> {
+    ) -> Result<RunOutput, SimError> {
+        let spill = SpillPlan::resolve(&self.cfg)?;
+        let ran = self.run_inner(specs_override, obs, sink_for(spill.as_ref()), |sinks| {
+            let segments = sealed_segments(&sinks);
+            let dataset = Dataset::join_runs(sinks).map_err(SimError::Join)?;
+            let raw_sessions = dataset.raw_sessions;
+            Ok((dataset.filter_proxies(), raw_sessions, segments))
+        })?;
+        let (dataset, raw_sessions, segments) = ran.assembled;
+        Ok(RunOutput {
+            dataset,
+            raw_sessions,
+            servers: ran.servers,
+            catalog: ran.catalog,
+            metrics: ran.metrics,
+            trace_lines: ran.trace_lines,
+            sim_spans: ran.sim_spans,
+            wall_trace: ran.wall_trace,
+            shard_errors: ran.shard_errors,
+            segments,
+        })
+    }
+
+    /// Build the world, run the engine with one `make_out` output per
+    /// shard, and `assemble` the surviving shards' outputs (canonical
+    /// shard order) once the warmed fleet is freed. Assembly is timed as
+    /// the profile's merge phase.
+    fn run_inner<O, A>(
+        self,
+        specs_override: Option<Vec<SessionSpec>>,
+        obs: Option<ObsOptions>,
+        make_out: impl Fn(u32, &[PlacedSession]) -> O + Sync,
+        assemble: impl FnOnce(Vec<O>) -> Result<A, SimError>,
+    ) -> Result<Ran<A>, SimError>
+    where
+        O: ShardOutput + Send,
+    {
         let cfg = &self.cfg;
         // Harness faults: shard jobs covering these PoPs/servers panic at
         // start (or wedge, for the stall variants), at any thread count.
@@ -458,23 +543,6 @@ impl Simulation {
                     .into(),
             ));
         }
-        // Out-of-core telemetry: resolved once up front so a bad spill
-        // directory fails the run before any simulation work happens.
-        let spill = match &cfg.spill {
-            None => None,
-            Some(sc) => {
-                let dir = PathBuf::from(&sc.dir);
-                std::fs::create_dir_all(&dir).map_err(|e| {
-                    SimError::Config(format!("cannot create spill dir {}: {e}", dir.display()))
-                })?;
-                Some(SpillPlan {
-                    dir,
-                    threshold: sc.threshold.max(1),
-                    storage: ambient_storage(),
-                })
-            }
-        };
-        let spill = spill.as_ref();
         let setup_started = Instant::now();
         let World {
             catalog,
@@ -492,9 +560,9 @@ impl Simulation {
         // Two paths: instrumented and noop. The noop path drives the same
         // generic engine with [`NoopSubscriber`], which monomorphizes the
         // probes away.
-        let (sinks, recorder, shard_profiles, loop_stats, shard_errors, engine_wall) = match obs {
+        let (outputs, recorder, shard_profiles, loop_stats, shard_errors, engine_wall) = match obs {
             Some(o) => {
-                let (sinks, runs, errors, wall) = run_sharded(
+                let (outputs, runs, errors, wall) = run_sharded(
                     cfg,
                     &mut fleet,
                     sessions,
@@ -504,7 +572,7 @@ impl Simulation {
                     &harness,
                     &coarse,
                     loop_started,
-                    spill,
+                    &make_out,
                     || MetricsRecorder::with_options(o.trace, o.spans),
                 );
                 // Fold shard recorders in canonical (shard_index) order, so
@@ -564,12 +632,12 @@ impl Simulation {
                         );
                     }
                 }
-                (sinks, Some(rec), profiles, total, errors, wall)
+                (outputs, Some(rec), profiles, total, errors, wall)
             }
             None => {
                 // Unobserved runs report no profile, so the per-shard
                 // stats and wall observations are not needed.
-                let (sinks, _, errors, _) = run_sharded(
+                let (outputs, _, errors, _) = run_sharded(
                     cfg,
                     &mut fleet,
                     sessions,
@@ -579,11 +647,11 @@ impl Simulation {
                     &harness,
                     &coarse,
                     loop_started,
-                    spill,
+                    &make_out,
                     || NoopSubscriber,
                 );
                 (
-                    sinks,
+                    outputs,
                     None,
                     Vec::new(),
                     EngineStats::default(),
@@ -597,38 +665,13 @@ impl Simulation {
         let merge_started = Instant::now();
 
         // Nothing past the event loop reads the warmed fleet beyond these
-        // aggregates: take them and free the caches before the join
+        // aggregates: take them and free the caches before assembly
         // allocates the dataset, so the two are never alive together.
         let servers = server_reports(&fleet);
         let churn: Vec<TierChurn> = fleet.servers().iter().map(|s| s.cache().churn()).collect();
         drop(fleet);
 
-        // --- join + preprocessing ---
-        // A spill failure degrades (that shard finished in RAM) rather
-        // than failing the run; surface it so out-of-core users know the
-        // RSS bound did not hold.
-        for e in sinks.iter().flat_map(|s| s.spill_errors()) {
-            eprintln!("warning: telemetry spill degraded to in-RAM: {e}");
-        }
-        let segments: Vec<_> = sinks
-            .iter()
-            .flat_map(|s| s.sealed_segments())
-            .cloned()
-            .collect();
-        // The join takes the shard sinks as runs, in canonical shard order.
-        // Streaming runs defer it: the sinks become a k-way merge iterator
-        // and the full dataset is never materialized.
-        let (dataset, raw_sessions, stream) = if streaming {
-            (
-                None,
-                0usize,
-                Some(streamlab_telemetry::SessionStream::new(sinks)),
-            )
-        } else {
-            let dataset = Dataset::join_runs(sinks).map_err(SimError::Join)?;
-            let raw_sessions = dataset.raw_sessions;
-            (Some(dataset.filter_proxies()), raw_sessions, None)
-        };
+        let assembled = assemble(outputs)?;
         let merge_ms = merge_started.elapsed().as_secs_f64() * 1.0e3;
 
         let (metrics, trace_lines, sim_spans, wall_trace) = match recorder {
@@ -669,28 +712,64 @@ impl Simulation {
             None => (None, None, None, None),
         };
 
-        Ok(match stream {
-            Some(stream) => InnerOutput::Streaming(Box::new(StreamOutput {
-                stream,
-                servers,
-                metrics,
-                shard_errors,
-                segments,
-            })),
-            None => InnerOutput::Full(Box::new(RunOutput {
-                dataset: dataset.expect("non-streaming run joins"),
-                raw_sessions,
-                servers,
-                catalog,
-                metrics,
-                trace_lines,
-                sim_spans,
-                wall_trace,
-                shard_errors,
-                segments,
-            })),
+        Ok(Ran {
+            assembled,
+            servers,
+            catalog,
+            metrics,
+            trace_lines,
+            sim_spans,
+            wall_trace,
+            shard_errors,
         })
     }
+}
+
+/// One shard sink per shard, spilling under `spill`. An in-RAM sink
+/// reserves the shard's sessions and the chunks they may watch.
+fn sink_for(
+    spill: Option<&SpillPlan>,
+) -> impl Fn(u32, &[PlacedSession]) -> TelemetrySink + Sync + '_ {
+    move |shard, sessions| match spill {
+        // Shard index is canonical, so segment names are stable across
+        // runs and thread counts.
+        Some(plan) => TelemetrySink::with_spill(sessions.len(), plan.spec(shard)),
+        None => TelemetrySink::with_capacity(
+            sessions.len(),
+            sessions
+                .iter()
+                .map(|s| s.spec.chunks_watched as usize)
+                .sum(),
+        ),
+    }
+}
+
+/// The sealed-segment manifest of the shard sinks, in shard order. A spill
+/// failure degrades (that shard finished in RAM) rather than failing the
+/// run; it is surfaced here so out-of-core users know the RSS bound did
+/// not hold.
+fn sealed_segments(sinks: &[TelemetrySink]) -> Vec<streamlab_telemetry::SegmentMeta> {
+    for e in sinks.iter().flat_map(|s| s.spill_errors()) {
+        eprintln!("warning: telemetry spill degraded to in-RAM: {e}");
+    }
+    sinks
+        .iter()
+        .flat_map(|s| s.sealed_segments())
+        .cloned()
+        .collect()
+}
+
+/// What [`Simulation::run_inner`] hands back: the assembled shard outputs
+/// and everything else the run computed.
+struct Ran<A> {
+    assembled: A,
+    servers: Vec<ServerReport>,
+    catalog: Catalog,
+    metrics: Option<RunMetrics>,
+    trace_lines: Option<Vec<String>>,
+    sim_spans: Option<Vec<SimSpan>>,
+    wall_trace: Option<WallTrace>,
+    shard_errors: Vec<ShardError>,
 }
 
 /// The world one run simulates: the catalog and client population drawn
@@ -787,13 +866,6 @@ fn server_reports(fleet: &CdnFleet) -> Vec<ServerReport> {
             }
         })
         .collect()
-}
-
-/// What [`Simulation::run_inner`] hands back: a materialized run or its
-/// streaming twin. Boxed so the enum stays pointer-sized.
-enum InnerOutput {
-    Full(Box<RunOutput>),
-    Streaming(Box<StreamOutput>),
 }
 
 /// The harness (test-infrastructure) faults of a scenario, preprocessed
@@ -1031,8 +1103,9 @@ fn fold_cache_churn(sim: &mut SimMetrics, churn: &[TierChurn]) {
 /// The engine: sessions partitioned by the shard owning their assigned
 /// server, one independent event loop per [`FleetShard`], run across
 /// `threads` workers (one at `threads <= 1`) by a work-stealing
-/// [`WorkQueue`]. Returns the surviving shards' sinks in canonical shard
-/// order, for the join to take as runs.
+/// [`WorkQueue`]. Each shard's telemetry goes to its own output, made by
+/// `make_out` from the canonical shard index and the shard's sessions.
+/// Returns the surviving shards' outputs in canonical shard order.
 ///
 /// Shards are per **server** wherever `coarse` permits (see
 /// [`coarse_pop_plan`]) and per PoP elsewhere, so a skewed session
@@ -1048,8 +1121,9 @@ fn fold_cache_churn(sim: &mut SimMetrics, churn: &[TierChurn]) {
 /// 2. the partition is stable and [`EventQueue`] breaks timestamp ties in
 ///    FIFO insertion order, so any two same-shard events pop in the same
 ///    relative order as in the global queue;
-/// 3. [`Dataset::join_runs`] canonicalizes by session id, making the
-///    order of the shard sinks irrelevant.
+/// 3. the join ([`Dataset::join_runs`]) and the fold's merge
+///    ([`RunFold::merge`]) both canonicalize by session id, making the
+///    order of the shard outputs irrelevant.
 ///
 /// Each shard job runs under [`catch_unwind`]: a panicking shard (a bug,
 /// or an injected `panic_pops` / `panic_servers` harness fault) is
@@ -1063,7 +1137,7 @@ fn fold_cache_churn(sim: &mut SimMetrics, churn: &[TierChurn]) {
 /// deadline is cancelled cooperatively and reported as
 /// [`ShardError::Stalled`] — same partial-results semantics as a panic.
 #[allow(clippy::too_many_arguments)]
-fn run_sharded<S, F>(
+fn run_sharded<S, F, O, G>(
     cfg: &SimulationConfig,
     fleet: &mut CdnFleet,
     sessions: Vec<PlacedSession>,
@@ -1073,17 +1147,14 @@ fn run_sharded<S, F>(
     harness: &HarnessFaults,
     coarse: &[bool],
     epoch: Instant,
-    spill: Option<&SpillPlan>,
+    make_out: &G,
     make_sub: F,
-) -> (
-    Vec<TelemetrySink>,
-    Vec<ShardRun<S>>,
-    Vec<ShardError>,
-    EngineWall,
-)
+) -> (Vec<O>, Vec<ShardRun<S>>, Vec<ShardError>, EngineWall)
 where
     S: Subscriber + Send,
     F: Fn() -> S + Sync,
+    O: ShardOutput + Send,
+    G: Fn(u32, &[PlacedSession]) -> O + Sync,
 {
     let (threads, deadline_ms) = (cfg.threads, cfg.shard_deadline_ms);
     let n_servers = fleet.len();
@@ -1138,13 +1209,10 @@ where
     // are never actually poisoned — `into_inner` recovery is belt-and-
     // braces against panics in the bookkeeping itself.
     type Job = (FleetShard, Vec<PlacedSession>, Arc<ProgressCell>);
-    type ShardResult<S> = (
-        FleetShard,
-        Option<(TelemetrySink, ShardRun<S>)>,
-        Option<ShardError>,
-    );
+    type ShardResult<S, O> = (FleetShard, Option<(O, ShardRun<S>)>, Option<ShardError>);
     let jobs: Vec<Mutex<Option<Job>>> = work.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let slots: Vec<Mutex<Option<ShardResult<S>>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<ShardResult<S, O>>>> =
+        (0..n_jobs).map(|_| Mutex::new(None)).collect();
     // Clamp the worker count when the fleet is too small to feed every
     // requested thread: below MIN_COST_PER_WORKER of estimated work per
     // worker, spawn/merge overhead makes extra threads a net loss (tiny
@@ -1187,7 +1255,7 @@ where
                     cell.start();
                     // `AssertUnwindSafe`: on panic the shard is returned
                     // as-is (so the fleet merge stays total) and the half-
-                    // built sink and subscriber are dropped — exactly the
+                    // built output and subscriber are dropped — exactly the
                     // partial-result semantics we want.
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         if let Some(message) = inject_panic {
@@ -1204,27 +1272,26 @@ where
                             return None;
                         }
                         let mut sub = make_sub();
-                        // Shard index `i` is canonical, so segment names
-                        // are stable across runs and thread counts.
-                        let (sink, stats, completed) = run_shard(
+                        let out = make_out(i as u32, &sessions);
+                        let (out, stats, completed) = run_shard(
                             &mut shard,
                             sessions,
                             cfg,
                             session_master,
                             catalog,
                             population,
-                            spill.map(|p| p.spec(i as u32)),
+                            out,
                             &mut sub,
                             Some(&cell),
                         );
                         // A cancelled loop's results are dropped here:
                         // partial shard state must never leak into the
                         // merged output.
-                        completed.then_some((sink, stats, sub))
+                        completed.then_some((out, stats, sub))
                     }));
                     cell.finish();
-                    let entry: ShardResult<S> = match result {
-                        Ok(Some((sink, stats, sub))) => {
+                    let entry: ShardResult<S, O> = match result {
+                        Ok(Some((out, stats, sub))) => {
                             let run = ShardRun {
                                 shard_index: i,
                                 pop_index,
@@ -1237,7 +1304,7 @@ where
                                 stats,
                                 sub,
                             };
-                            (shard, Some((sink, run)), None)
+                            (shard, Some((out, run)), None)
                         }
                         Ok(None) => {
                             let snap = cell.snapshot();
@@ -1276,10 +1343,10 @@ where
     });
 
     // Slot order *is* canonical shard order (see above), so the order of
-    // the returned sinks — and the order shard recorders are folded in —
-    // is reproducible run-to-run without a sort. The join canonicalizes by
+    // the returned outputs — and the order shard recorders are folded in —
+    // is reproducible run-to-run without a sort. Assembly canonicalizes by
     // session id anyway.
-    let results: Vec<ShardResult<S>> = slots
+    let results: Vec<ShardResult<S, O>> = slots
         .into_iter()
         .map(|s| {
             s.into_inner()
@@ -1308,13 +1375,13 @@ where
             .unwrap_or_else(|e| e.into_inner()),
     };
 
-    let mut sinks = Vec::with_capacity(results.len());
+    let mut outputs = Vec::with_capacity(results.len());
     let mut shards = Vec::with_capacity(results.len());
     let mut runs = Vec::with_capacity(results.len());
     let mut errors = Vec::new();
     for (shard, ok, err) in results {
-        if let Some((sink, run)) = ok {
-            sinks.push(sink);
+        if let Some((out, run)) = ok {
+            outputs.push(out);
             runs.push(run);
         }
         if let Some(e) = err {
@@ -1323,7 +1390,7 @@ where
         shards.push(shard);
     }
     fleet.merge_shards(shards);
-    (sinks, runs, errors, engine_wall)
+    (outputs, runs, errors, engine_wall)
 }
 
 /// Render a caught panic payload: strings pass through, anything else
@@ -1339,7 +1406,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One event loop over `sessions`, served by `pool`: a [`FleetShard`] in
-/// the engine, or the whole [`CdnFleet`] in the tests' oracle.
+/// the engine, or the whole [`CdnFleet`] in the tests' oracle. Every
+/// chunk's records and every finished session go to `out`, which is
+/// returned, sealed if the loop drained.
 ///
 /// Every arrival is scheduled up front, in session order. A session's
 /// runtime is built when its arrival event pops and dropped once the
@@ -1357,26 +1426,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the heartbeat is two relaxed stores and never feeds back into
 /// simulation state.
 #[allow(clippy::too_many_arguments)]
-fn run_shard<P: ServerPool, S: Subscriber>(
+fn run_shard<P: ServerPool, S: Subscriber, O: ShardOutput>(
     pool: &mut P,
     sessions: Vec<PlacedSession>,
     cfg: &SimulationConfig,
     session_master: &RngStream,
     catalog: &Catalog,
     population: &Population,
-    spill: Option<SpillSpec>,
+    mut out: O,
     sub: &mut S,
     progress: Option<&ProgressCell>,
-) -> (TelemetrySink, EngineStats, bool) {
+) -> (O, EngineStats, bool) {
     let policy = cfg.fleet.prefetch;
-    let est_chunks: usize = sessions
-        .iter()
-        .map(|s| s.spec.chunks_watched as usize)
-        .sum();
-    let mut sink = match spill {
-        Some(spec) => TelemetrySink::with_spill(sessions.len(), spec),
-        None => TelemetrySink::with_capacity(sessions.len(), est_chunks),
-    };
     let mut queue: EventQueue<usize> = EventQueue::with_capacity(sessions.len());
     for (idx, s) in sessions.iter().enumerate() {
         queue.schedule(s.spec.arrival, idx);
@@ -1400,33 +1461,34 @@ fn run_shard<P: ServerPool, S: Subscriber>(
                 session_master,
                 catalog,
                 population,
+                O::KEEPS_CHUNKS,
             ))
         });
-        match step_chunk(rt, now, catalog, policy, pool, &mut sink, sub) {
+        match step_chunk(rt, now, catalog, policy, pool, &mut out, sub) {
             Some(next_t) => queue.schedule(next_t.max(now), idx),
             None => {
                 // Read the server after the step: failover may have moved
                 // the session within its PoP (never across shards).
                 let server = pool.pool_server(rt.server_idx);
                 let (pop, id) = (server.pop(), server.id());
-                finalize_session(rt, population, pop, id, &mut sink);
+                finalize_session(rt, population, pop, id, &mut out);
                 live[idx] = None;
             }
         }
     }
     if completed {
         // Seal only completed shards: a cancelled shard's results are
-        // dropped by the caller, and leaving its tail unsealed avoids
-        // writing segments that would never be read. The seal sorts what
-        // stays in RAM here, in the shard's worker, so the join finds
+        // dropped by the caller, and leaving a sink's tail unsealed avoids
+        // writing segments that would never be read. A sink's seal sorts
+        // what stays in RAM here, in the shard's worker, so the join finds
         // every run sorted.
-        sink.seal();
+        out.seal();
     }
     let stats = EngineStats {
         events: queue.popped(),
         peak_queue: queue.peak_len(),
     };
-    (sink, stats, completed)
+    (out, stats, completed)
 }
 
 #[cfg(test)]
@@ -1582,7 +1644,7 @@ mod tests {
             &session_master,
             &catalog,
             &population,
-            None,
+            TelemetrySink::new(),
             &mut NoopSubscriber,
             None,
         );
@@ -1747,6 +1809,38 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fold at finalize checks what the join checked of a session's
+    /// chunks: a repeated or a missing chunk index shows in the audit's
+    /// facts, and a session with no chunks is dropped, as the join drops
+    /// it.
+    #[test]
+    fn the_finalize_fold_flags_a_repeated_or_missing_chunk() {
+        let out = run_tiny(7);
+        let mut long = out.dataset.sessions.iter().filter(|s| s.chunks.len() >= 3);
+        let (whole, twice, gap, empty) = (
+            long.next().expect("a session"),
+            long.next().expect("a second session"),
+            long.next().expect("a third session"),
+            long.next().expect("a fourth session"),
+        );
+        let mut fold = RunFold::default();
+        fold.session(whole.meta.clone(), whole.chunks.clone());
+        let mut repeated = twice.chunks.clone();
+        repeated.insert(1, repeated[1].clone());
+        fold.session(twice.meta.clone(), repeated);
+        let mut missing = gap.chunks.clone();
+        missing.remove(1);
+        fold.session(gap.meta.clone(), missing);
+        fold.session(empty.meta.clone(), Vec::new());
+        let facts = RunFold::merge(vec![fold]).facts(3, 0);
+        assert_eq!(facts.dataset_sessions, 3);
+        assert_eq!(
+            facts.noncontiguous_sessions,
+            vec![twice.meta.session.raw(), gap.meta.session.raw()]
+        );
+        assert!(facts.nonmonotonic_sessions.is_empty());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! manifest → ABR → CDN serve → TCP delivery → download stack → playback
 //! buffer → rendering, emitting both sides' telemetry records.
 
+use crate::ablation::RunFold;
 use streamlab_cdn::{CdnFleet, ObjectKey, PrefetchPolicy, ServerPool};
 use streamlab_client::abr::{Abr, AbrContext};
 use streamlab_client::{DownloadStack, PlaybackBuffer, RenderPath, RetryDecision, RetryState};
@@ -12,10 +13,65 @@ use streamlab_obs::{
 };
 use streamlab_sim::{RngStream, SimTime};
 use streamlab_telemetry::records::{
-    CacheOutcome, CdnChunkRecord, ChunkTruth, PlayerChunkRecord, SessionMeta,
+    CacheOutcome, CdnChunkRecord, ChunkRecord, ChunkTruth, PlayerChunkRecord, SessionMeta,
 };
-use streamlab_telemetry::TelemetrySink;
+use streamlab_telemetry::{SessionData, TelemetrySink};
 use streamlab_workload::{Catalog, ChunkIndex, Population, SessionSpec};
+
+/// Where a shard's telemetry goes as its sessions run.
+///
+/// A [`TelemetrySink`] takes each chunk's records as they happen, for the
+/// join (`run`). A [`RunFold`] takes each session whole when it ends, from
+/// the records its runtime kept, and folds it into the shard's summaries
+/// (sweeps and `serve`); the records are dropped with the runtime.
+pub(super) trait ShardOutput {
+    /// Whether a runtime keeps its chunk records until its session ends.
+    const KEEPS_CHUNKS: bool;
+
+    /// Take one chunk's records; `kept` is its session's own buffer.
+    fn chunk(&mut self, kept: &mut Vec<ChunkRecord>, record: ChunkRecord);
+
+    /// Take a finished session: its metadata and the records it kept.
+    fn session(&mut self, meta: SessionMeta, kept: Vec<ChunkRecord>);
+
+    /// The shard's loop drained; finish what is still open.
+    fn seal(&mut self) {}
+}
+
+impl ShardOutput for TelemetrySink {
+    const KEEPS_CHUNKS: bool = false;
+
+    fn chunk(&mut self, _kept: &mut Vec<ChunkRecord>, record: ChunkRecord) {
+        // Both halves go in adjacently, so `player[i]` and `cdn[i]` stay
+        // 1:1 aligned and a seal sorts both arenas with one permutation.
+        self.player_chunk(record.player);
+        self.cdn_chunk(record.cdn);
+    }
+
+    fn session(&mut self, meta: SessionMeta, _kept: Vec<ChunkRecord>) {
+        TelemetrySink::session(self, meta);
+    }
+
+    fn seal(&mut self) {
+        TelemetrySink::seal(self);
+    }
+}
+
+impl ShardOutput for RunFold {
+    const KEEPS_CHUNKS: bool = true;
+
+    fn chunk(&mut self, kept: &mut Vec<ChunkRecord>, record: ChunkRecord) {
+        kept.push(record);
+    }
+
+    fn session(&mut self, meta: SessionMeta, chunks: Vec<ChunkRecord>) {
+        // The join drops a session that has metadata but no chunks, so
+        // the fold does too.
+        if !chunks.is_empty() {
+            self.push(&SessionData { meta, chunks });
+        }
+    }
+}
 
 /// One session of the day before it arrives: its spec and where the fleet
 /// places it — the server [`CdnFleet::assign`] picks, that server's PoP,
@@ -61,11 +117,12 @@ pub(super) struct SessionRuntime {
     throughputs: Vec<f64>,
     next_chunk: u32,
     rng: RngStream,
-    /// Running sum of recorded chunk playback seconds. Chunk records
-    /// themselves go straight into the shard's [`TelemetrySink`] arena as
-    /// they happen (no per-session buffering), so the session only keeps
-    /// the aggregates its own logic needs.
+    /// Running sum of recorded chunk playback seconds.
     video_secs: f64,
+    /// The session's chunk records, in chunk order, when its shard's
+    /// output takes sessions whole ([`ShardOutput::KEEPS_CHUNKS`]); empty
+    /// when each chunk goes straight into a [`TelemetrySink`].
+    chunks: Vec<ChunkRecord>,
 }
 
 impl SessionRuntime {
@@ -76,13 +133,15 @@ impl SessionRuntime {
     /// Everything it reads is immutable while the event loops run, and
     /// its RNG forks off `session_master` by session id, so building it
     /// at any point before the session's first step gives the same
-    /// runtime.
+    /// runtime. With `keep_chunks` it reserves room for every chunk the
+    /// session may watch.
     pub(super) fn new(
         placed: &PlacedSession,
         cfg: &crate::config::SimulationConfig,
         session_master: &RngStream,
         catalog: &Catalog,
         population: &Population,
+        keep_chunks: bool,
     ) -> SessionRuntime {
         use streamlab_net::PathProfile;
         let spec = placed.spec.clone();
@@ -154,6 +213,7 @@ impl SessionRuntime {
             next_chunk: 0,
             rng,
             video_secs: 0.0,
+            chunks: Vec::with_capacity(if keep_chunks { chunks_hint } else { 0 }),
         }
     }
 }
@@ -169,16 +229,16 @@ impl SessionRuntime {
 /// (assignment and failover both stay inside it), so shards can run
 /// concurrently and remain exact.
 ///
-/// Observability events flow into `sub`; with
-/// [`streamlab_obs::NoopSubscriber`] the probes monomorphize away and this
-/// is the uninstrumented step.
-pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
+/// The chunk's records go to `out`. Observability events flow into `sub`;
+/// with [`streamlab_obs::NoopSubscriber`] the probes monomorphize away and
+/// this is the uninstrumented step.
+pub(super) fn step_chunk<P: ServerPool, S: Subscriber, O: ShardOutput>(
     rt: &mut SessionRuntime,
     now: SimTime,
     catalog: &Catalog,
     prefetch_policy: PrefetchPolicy,
     pool: &mut P,
-    sink: &mut TelemetrySink,
+    out: &mut O,
     sub: &mut S,
 ) -> Option<SimTime> {
     let session_id = rt.spec.id.raw();
@@ -418,10 +478,7 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
         },
     );
 
-    // 8. Records — appended straight into the shard's sink arenas. The
-    // player and CDN records of a chunk are pushed adjacently, so
-    // `sink.player[i]` and `sink.cdn[i]` stay 1:1 aligned, and a seal sorts
-    // both arenas with one permutation.
+    // 8. Records — both halves of the chunk, handed to the shard's output.
     let player_record = PlayerChunkRecord {
         session: rt.spec.id,
         chunk,
@@ -445,8 +502,7 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
     rt.throughputs
         .push(player_record.observed_throughput_kbps());
     rt.video_secs += chunk_secs;
-    sink.player_chunk(player_record);
-    sink.cdn_chunk(CdnChunkRecord {
+    let cdn_record = CdnChunkRecord {
         session: rt.spec.id,
         chunk,
         d_wait: outcome.d_wait,
@@ -464,7 +520,14 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
         segments: transfer.segments,
         retx_segments: transfer.retx,
         tcp: transfer.snapshots,
-    });
+    };
+    out.chunk(
+        &mut rt.chunks,
+        ChunkRecord {
+            player: player_record,
+            cdn: cdn_record,
+        },
+    );
 
     // 9. Schedule the next request (immediately, unless the buffer is
     // full — then after it drains to the high-water mark). A session ends
@@ -492,15 +555,16 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
     Some(next_t)
 }
 
-/// Emit the session's beacons into the sink. `pop` and `server` identify
-/// the serving server (`rt.server_idx`) — passed as plain ids so shard
-/// workers can finalize without a fleet reference.
-pub(super) fn finalize_session(
+/// Hand the finished session to `out`: its beacon metadata and the chunk
+/// records the runtime kept. `pop` and `server` identify the serving
+/// server (`rt.server_idx`) — passed as plain ids so shard workers can
+/// finalize without a fleet reference.
+pub(super) fn finalize_session<O: ShardOutput>(
     rt: &mut SessionRuntime,
     population: &Population,
     pop: streamlab_workload::PopId,
     server: streamlab_workload::ServerId,
-    sink: &mut TelemetrySink,
+    out: &mut O,
 ) {
     let prefix = population.prefix(rt.spec.client.prefix);
     let startup = rt
@@ -511,7 +575,7 @@ pub(super) fn finalize_session(
     // §3 filter signal (i): proxies rewrite the client IP / user agent
     // seen by the CDN, detectable on ~90 % of proxied sessions.
     let ua_mismatch = prefix.proxied && rt.rng.chance(0.9);
-    sink.session(SessionMeta {
+    let meta = SessionMeta {
         session: rt.spec.id,
         prefix: prefix.id,
         video: rt.spec.video,
@@ -532,5 +596,6 @@ pub(super) fn finalize_session(
         ua_mismatch,
         gpu: rt.spec.client.gpu,
         visible: rt.spec.visible,
-    });
+    };
+    out.session(meta, std::mem::take(&mut rt.chunks));
 }

@@ -8,15 +8,14 @@
 //! metrics. Integration tests use it to assert that the paper-shape
 //! invariants are not one-seed flukes.
 
-use crate::ablation::{AblationMetrics, RunFold};
-use crate::config::{SimulationConfig, SpillConfig};
-use crate::simulate::{ShardError, SimError, Simulation, StreamOutput};
+use crate::ablation::AblationMetrics;
+use crate::config::SimulationConfig;
+use crate::simulate::{ShardError, SimError, Simulation};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
 use streamlab_supervisor::{Manifest, RunDir};
-use streamlab_telemetry::{validate_sealed, SegmentMeta, SessionStream};
 
 /// Mean and population standard deviation of one metric across seeds.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -106,54 +105,29 @@ impl SweepSummary {
 pub(crate) struct SeedRun {
     /// The seed's metrics, over the surviving shards' sessions.
     pub(crate) metrics: AblationMetrics,
-    /// The spill segments the seed sealed (empty in RAM).
-    pub(crate) segments: Vec<SegmentMeta>,
     /// Shards the seed lost; their sessions are missing from `metrics`.
     pub(crate) shard_errors: Vec<ShardError>,
 }
 
-/// Simulate one sweep seed and fold its metrics from the joined session
-/// stream, so the seed's dataset is never built, in RAM or spilled. With
-/// `audit` the run is observed and a broken invariant fails the seed with
+/// Simulate one sweep seed, folding each session into its shard's
+/// summaries as it ends, so no chunk record outlives its session and
+/// nothing is spilled, whatever the config's spill settings. With `audit`
+/// the run is observed and a broken invariant fails the seed with
 /// [`SimError::Audit`]. Shared by [`run_seeds`], the checkpointed sweep
 /// and the `serve` daemon's sweep jobs.
 pub(crate) fn run_seed(cfg: SimulationConfig, audit: bool) -> Result<SeedRun, SimError> {
-    let sim = Simulation::new(cfg);
-    let out = if audit {
-        sim.run_streaming_observed()?
-    } else {
-        sim.run_streaming()?
-    };
-    fold_seed(out)
-}
-
-/// The fold behind [`run_seed`]: the first join error in the stream fails
-/// the seed with it.
-fn fold_seed(out: StreamOutput) -> Result<SeedRun, SimError> {
-    let (fold, raw_sessions) = fold_stream(out.stream)?;
+    let out = Simulation::new(cfg).run_folded(audit)?;
     if let Some(m) = &out.metrics {
-        let facts = fold.facts(raw_sessions, out.shard_errors.len());
+        let facts = out.fold.facts(out.raw_sessions, out.shard_errors.len());
         let report = streamlab_supervisor::audit::audit(&m.sim, &facts);
         if !report.is_clean() {
             return Err(SimError::Audit(report.render()));
         }
     }
     Ok(SeedRun {
-        metrics: fold.metrics(&out.servers),
-        segments: out.segments,
+        metrics: out.fold.metrics(&out.servers),
         shard_errors: out.shard_errors,
     })
-}
-
-/// Fold a run's joined sessions, then apply §3's proxy filter to the
-/// summaries. Also returns how many sessions the join yielded.
-fn fold_stream(stream: SessionStream) -> Result<(RunFold, usize), SimError> {
-    let mut fold = RunFold::default();
-    for session in stream {
-        fold.push(&session.map_err(SimError::Join)?);
-    }
-    let raw_sessions = fold.session_count();
-    Ok((fold.filter_proxies(), raw_sessions))
 }
 
 /// Run `base` under each seed (`cfg.seed` is overwritten), in parallel.
@@ -228,12 +202,13 @@ fn metrics_from_bits(bits: &[u64]) -> Option<AblationMetrics> {
     })
 }
 
-/// The per-seed record payload: exact bits for resume, readable metrics for
-/// humans poking at the run directory, and the manifest of sealed spill
-/// segments the run left on disk (empty for in-RAM runs). Only `bits` and
-/// `segments` are read back. Shared with the `serve` daemon so a served
-/// sweep's checkpoints are readable by `sweep --resume` and vice versa.
-pub(crate) fn seed_payload(m: &AblationMetrics, segments: &[SegmentMeta]) -> Value {
+/// The per-seed record payload: exact bits for resume and readable
+/// metrics for humans poking at the run directory. Only `bits` is read
+/// back. The `segments` key is always empty: records once listed there the
+/// spill segments a seed sealed, and a resume ignores it, so those records
+/// still resume. Shared with the `serve` daemon so a served sweep's
+/// checkpoints are readable by `sweep --resume` and vice versa.
+pub(crate) fn seed_payload(m: &AblationMetrics) -> Value {
     let bits = metrics_bits(m)
         .iter()
         .map(|&b| Value::Number(serde::Number::UInt(b)))
@@ -241,10 +216,7 @@ pub(crate) fn seed_payload(m: &AblationMetrics, segments: &[SegmentMeta]) -> Val
     let mut obj = Map::new();
     obj.insert("bits".to_owned(), Value::Array(bits));
     obj.insert("metrics".to_owned(), m.to_value());
-    obj.insert(
-        "segments".to_owned(),
-        Value::Array(segments.iter().map(|s| s.to_value()).collect()),
-    );
+    obj.insert("segments".to_owned(), Value::Array(Vec::new()));
     Value::Object(obj)
 }
 
@@ -256,31 +228,6 @@ pub(crate) fn payload_metrics(v: &Value) -> Option<AblationMetrics> {
         .map(|b| b.as_u64())
         .collect::<Option<Vec<u64>>>()?;
     metrics_from_bits(&bits)
-}
-
-/// The sealed-segment manifest recorded with a seed. Records written before
-/// spill support (no `segments` key) read as empty; a present-but-mangled
-/// manifest reads as `None` so the caller treats the record as unusable.
-pub(crate) fn payload_segments(v: &Value) -> Option<Vec<SegmentMeta>> {
-    match v.get("segments") {
-        None => Some(Vec::new()),
-        Some(arr) => arr
-            .as_array()?
-            .iter()
-            .map(|s| SegmentMeta::from_value(s).ok())
-            .collect(),
-    }
-}
-
-/// The spill configuration a specific seed of a sweep runs under: each seed
-/// gets its own subdirectory so parallel seed workers never interleave
-/// segment files, and so resume can validate one seed's manifest in
-/// isolation.
-pub(crate) fn seed_spill(sc: &SpillConfig, seed: u64) -> SpillConfig {
-    SpillConfig {
-        dir: format!("{}/seed-{seed}", sc.dir),
-        threshold: sc.threshold,
-    }
 }
 
 /// The config as stored in the run-dir manifest: the per-seed `seed` field
@@ -357,23 +304,11 @@ fn run_checkpointed(
     let mut sim_base = base;
     sim_base.faults.kill_after_seeds = 0;
 
-    let (records, mut skipped_records) = run_dir.completed_seeds();
-    let mut done: BTreeMap<u64, AblationMetrics> = BTreeMap::new();
-    for (&seed, payload) in records.iter() {
-        let (Some(m), Some(segments)) = (payload_metrics(payload), payload_segments(payload))
-        else {
-            continue;
-        };
-        // A spilled seed's record is only trusted if every sealed segment it
-        // names still verifies on disk (row counts, sort-key ranges,
-        // fingerprints). A torn or missing segment means the seed is
-        // recomputed rather than resumed from suspect state.
-        if let Err(e) = validate_sealed(&segments) {
-            skipped_records.push(format!("seed {seed}: sealed segments invalid: {e}"));
-            continue;
-        }
-        done.insert(seed, m);
-    }
+    let (records, skipped_records) = run_dir.completed_seeds();
+    let mut done: BTreeMap<u64, AblationMetrics> = records
+        .iter()
+        .filter_map(|(&seed, payload)| Some((seed, payload_metrics(payload)?)))
+        .collect();
     let resumed: Vec<u64> = seeds
         .iter()
         .copied()
@@ -399,15 +334,10 @@ fn run_checkpointed(
             .map(|&seed| {
                 let mut cfg = sim_base.clone();
                 cfg.seed = seed;
-                // Each seed spills into its own subdirectory so parallel
-                // workers never share segment sequence numbers.
-                if let Some(sc) = &cfg.spill {
-                    cfg.spill = Some(seed_spill(sc, seed));
-                }
                 let recorded = &recorded;
                 scope.spawn(move || {
                     let run = run_seed(cfg, audit).map_err(|e| format!("seed {seed}: {e}"))?;
-                    let payload = seed_payload(&run.metrics, &run.segments);
+                    let payload = seed_payload(&run.metrics);
                     if kill_after > 0 {
                         let mut n = recorded.lock().unwrap_or_else(|e| e.into_inner());
                         run_dir.record_seed(seed, payload)?;
@@ -565,7 +495,7 @@ mod tests {
         };
         // A value with no short decimal form: one ulp above 0.1.
         m.miss_rate = f64::from_bits(0.1f64.to_bits() + 1);
-        let back = payload_metrics(&seed_payload(&m, &[])).expect("roundtrip");
+        let back = payload_metrics(&seed_payload(&m)).expect("roundtrip");
         assert_eq!(metrics_bits(&m), metrics_bits(&back));
         assert!(back.load_latency_corr.is_nan());
     }
@@ -573,7 +503,7 @@ mod tests {
     #[test]
     fn truncated_bits_are_rejected() {
         let m = run_seeds(&tiny_base(), &[3]).unwrap().per_seed.remove(0);
-        let Value::Object(mut obj) = seed_payload(&m, &[]) else {
+        let Value::Object(mut obj) = seed_payload(&m) else {
             panic!("payload is an object")
         };
         let Some(Value::Array(mut bits)) = obj.get("bits").cloned() else {
@@ -599,7 +529,7 @@ mod tests {
         let manifest = Manifest::new("sweep", seeds.to_vec(), manifest_config(&base));
         let run_dir = RunDir::create(&dir_part, manifest).unwrap();
         run_dir
-            .record_seed(12, seed_payload(&full.summary.per_seed[1], &[]))
+            .record_seed(12, seed_payload(&full.summary.per_seed[1]))
             .unwrap();
 
         let resumed = resume_checkpointed(&dir_part, false).expect("resume");
@@ -617,72 +547,100 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir_part);
     }
 
+    /// Files under `dir`, recursively; none when it does not exist.
+    fn files_under(dir: &Path) -> usize {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return 0;
+        };
+        entries
+            .map(|e| e.expect("dir entry").path())
+            .map(|p| if p.is_dir() { files_under(&p) } else { 1 })
+            .sum()
+    }
+
     #[test]
-    fn spilled_sweep_resume_revalidates_segments_and_recomputes_torn_seeds() {
+    fn spilled_sweep_matches_in_ram_writes_nothing_and_resumes() {
         let seeds = [21u64, 22];
         let plain = run_seeds(&tiny_base(), &seeds).expect("plain sweep");
 
         let spill_root = scratch("spill-data");
         let mut base = tiny_base();
-        base.spill = Some(SpillConfig {
+        base.spill = Some(crate::SpillConfig {
             dir: spill_root.display().to_string(),
             threshold: 64,
         });
 
         let dir = scratch("spill-ckpt");
         let full = run_seeds_checkpointed(&base, &seeds, &dir, false).expect("spilled sweep");
-        // Spilling must not perturb the metrics relative to in-RAM runs.
+        // A spill config must not perturb the metrics relative to in-RAM
+        // runs, and a sweep folds its sessions without writing any.
         for (a, b) in full.summary.per_seed.iter().zip(&plain.per_seed) {
             assert_eq!(metrics_bits(a), metrics_bits(b));
         }
+        assert_eq!(files_under(&spill_root), 0, "the sweep wrote spill files");
 
-        // Each seed spilled into its own subdirectory.
-        let seed_dir = spill_root.join("seed-21");
-        let mut segs: Vec<std::path::PathBuf> = std::fs::read_dir(&seed_dir)
-            .expect("seed-21 spill dir")
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "slseg"))
-            .collect();
-        segs.sort();
-        assert!(!segs.is_empty(), "seed 21 sealed no segments");
-
-        // Tear one of seed 21's segments; a resume over the completed run
-        // must notice, recompute exactly that seed, and still produce a
-        // byte-identical summary.
-        let victim = &segs[0];
-        let bytes = std::fs::read(victim).unwrap();
-        std::fs::write(victim, &bytes[..bytes.len() / 2]).unwrap();
-
-        let resumed = resume_checkpointed(&dir, false).expect("resume");
-        assert_eq!(resumed.resumed, vec![22]);
-        assert_eq!(resumed.computed, vec![21]);
-        assert!(
-            resumed
-                .skipped_records
-                .iter()
-                .any(|s| s.contains("seed 21") && s.contains("sealed segments invalid")),
-            "no invalid-segment note in {:?}",
-            resumed.skipped_records
+        // Replace seed 21's record with one as earlier versions wrote it,
+        // naming the sealed segments the seed spilled (long gone here): a
+        // resume reads only its bits, so it trusts the record.
+        let Value::Object(mut payload) = seed_payload(&full.summary.per_seed[0]) else {
+            panic!("payload is an object")
+        };
+        let segment = streamlab_telemetry::SegmentMeta {
+            path: spill_root.join("seed-21/gone.slseg").display().to_string(),
+            shard: 0,
+            seq: 0,
+            rows: 64,
+            fingerprint: 42,
+            min_session: 0,
+            min_chunk: 0,
+            max_session: 9,
+            max_chunk: 5,
+        };
+        payload.insert(
+            "segments".to_owned(),
+            Value::Array(vec![segment.to_value()]),
         );
+        RunDir::open(&dir)
+            .expect("reopen")
+            .record_seed(21, Value::Object(payload))
+            .expect("rewrite seed 21");
+        let resumed = resume_checkpointed(&dir, false).expect("resume");
+        assert_eq!(resumed.resumed, vec![21, 22]);
+        assert!(resumed.computed.is_empty());
+        assert!(resumed.skipped_records.is_empty());
         assert_eq!(render(&resumed.summary), render(&full.summary));
         assert_eq!(
             resumed.summary.to_value().to_json_string(),
             full.summary.to_value().to_json_string()
         );
 
-        // The recompute re-sealed valid segments, so a second resume trusts
-        // every record again.
-        let again = resume_checkpointed(&dir, false).expect("second resume");
-        assert_eq!(again.resumed, vec![21, 22]);
-        assert!(again.computed.is_empty());
+        // Lose seed 22's record: the resume recomputes it, still without
+        // spilling, and the summary is byte-identical.
+        let part = scratch("spill-part");
+        RunDir::create(
+            &part,
+            Manifest::new("sweep", seeds.to_vec(), manifest_config(&base)),
+        )
+        .expect("partial run dir")
+        .record_seed(21, seed_payload(&full.summary.per_seed[0]))
+        .expect("seed 21");
+        let resumed = resume_checkpointed(&part, false).expect("resume");
+        assert_eq!(resumed.resumed, vec![21]);
+        assert_eq!(resumed.computed, vec![22]);
+        assert_eq!(
+            resumed.summary.to_value().to_json_string(),
+            full.summary.to_value().to_json_string()
+        );
+        assert_eq!(files_under(&spill_root), 0, "the resume wrote spill files");
 
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&part);
         let _ = std::fs::remove_dir_all(&spill_root);
     }
 
     /// A seed's metrics by their defining formulas — the figure functions
     /// and per-session sums over the run's materialized, proxy-filtered
-    /// dataset: the oracle the streamed fold must match.
+    /// dataset: the oracle the finalize fold must match.
     fn reference_metrics(out: &crate::RunOutput) -> AblationMetrics {
         use streamlab_analysis::figures::{cdn, network};
         let s = cdn::headline_stats(&out.dataset);
@@ -754,10 +712,12 @@ mod tests {
         }
     }
 
-    /// Fold each seed's stream — in RAM, spilled, and spilled under the
-    /// outage scenario, at one and two threads — and check its metrics and
-    /// audit facts bit for bit against the materialized reference.
-    fn assert_streamed_matches_materialized(base: &SimulationConfig, seeds: &[u64]) {
+    /// Fold each seed at finalize — in RAM, with a spill config, and with
+    /// a spill config under the outage scenario, at one and two threads —
+    /// and check its metrics and audit facts bit for bit against the
+    /// materialized reference. The folded runs must write nothing under
+    /// their spill directory.
+    fn assert_folded_matches_materialized(base: &SimulationConfig, seeds: &[u64]) {
         let outage = streamlab_faults::FaultScenario::from_json_file(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../examples/faults_outage_restart.json"
@@ -769,10 +729,10 @@ mod tests {
             for mode in ["in RAM", "spilled", "spilled, outage faults"] {
                 let mut cfg = base.clone();
                 cfg.seed = seed;
+                let spill_dir = |side: &str| spill_root.join(side).join(seed.to_string());
                 if mode != "in RAM" {
-                    let dir = spill_root.join(seed.to_string());
-                    cfg.spill = Some(SpillConfig {
-                        dir: dir.display().to_string(),
+                    cfg.spill = Some(crate::SpillConfig {
+                        dir: spill_dir("reference").display().to_string(),
                         threshold: 97,
                     });
                 }
@@ -798,24 +758,36 @@ mod tests {
                 if materialized.dataset.sessions.len() < materialized.raw_sessions {
                     filtered += 1;
                 }
+                if let Some(sc) = &mut cfg.spill {
+                    sc.dir = spill_dir("folded").display().to_string();
+                }
                 for threads in [1, 2] {
                     let mut cfg = cfg.clone();
                     cfg.threads = threads;
-                    // What `fold_seed` does, keeping the facts it audits.
-                    let out = Simulation::new(cfg).run_streaming().expect("stream");
-                    let (fold, raw) = fold_stream(out.stream).expect("fold");
+                    // What `run_seed` does, keeping the facts it audits;
+                    // the two-thread run is observed, as an audited seed is.
+                    let out = Simulation::new(cfg).run_folded(threads == 2).expect("fold");
+                    assert_eq!(out.metrics.is_some(), threads == 2);
                     assert_eq!(
-                        format!("{:?}", fold.facts(raw, out.shard_errors.len())),
+                        format!(
+                            "{:?}",
+                            out.fold.facts(out.raw_sessions, out.shard_errors.len())
+                        ),
                         expect_facts,
-                        "{case}, {threads} thread(s): streamed audit facts"
+                        "{case}, {threads} thread(s): folded audit facts"
                     );
                     assert_eq!(
-                        metrics_bits(&fold.metrics(&out.servers)),
+                        metrics_bits(&out.fold.metrics(&out.servers)),
                         expect,
-                        "{case}, {threads} thread(s): streamed metrics"
+                        "{case}, {threads} thread(s): folded metrics"
                     );
                     cases += 1;
                 }
+                assert_eq!(
+                    files_under(&spill_dir("folded")),
+                    0,
+                    "{case}: the folded runs wrote spill files"
+                );
             }
         }
         // The proxy filter must have dropped sessions, or the keep-mask
@@ -825,54 +797,15 @@ mod tests {
     }
 
     #[test]
-    fn streamed_tiny_seeds_match_the_materialized_reference() {
-        assert_streamed_matches_materialized(&tiny_base(), &[3, 7, 11]);
+    fn folded_tiny_seeds_match_the_materialized_reference() {
+        assert_folded_matches_materialized(&tiny_base(), &[3, 7, 11]);
     }
 
     #[test]
-    fn streamed_small_seeds_match_the_materialized_reference() {
+    fn folded_small_seeds_match_the_materialized_reference() {
         let mut small = SimulationConfig::small(0);
         small.traffic.sessions = 600;
-        assert_streamed_matches_materialized(&small, &[2, 5]);
-    }
-
-    #[test]
-    fn a_join_error_in_the_stream_fails_the_seed() {
-        use streamlab_telemetry::{JoinError, SpillSpec, TelemetrySink};
-        let out = Simulation::new(tiny_base()).run().expect("run");
-        let (a, b) = (&out.dataset.sessions[0], &out.dataset.sessions[1]);
-        let dir = scratch("join-error");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A spilled sink whose second session has chunks but no metadata:
-        // the merge yields the first session, then the error.
-        let mut sink = TelemetrySink::with_spill(
-            2,
-            SpillSpec {
-                dir: dir.clone(),
-                threshold: 3,
-                shard: 0,
-                storage: streamlab_supervisor::Storage::real(),
-            },
-        );
-        sink.session(a.meta.clone());
-        for c in a.chunks.iter().chain(&b.chunks) {
-            sink.player_chunk(c.player.clone());
-            sink.cdn_chunk(c.cdn.clone());
-        }
-        sink.seal();
-        assert!(!sink.sealed_segments().is_empty());
-        let stream = StreamOutput {
-            stream: SessionStream::new(vec![sink]),
-            servers: out.servers.clone(),
-            metrics: None,
-            shard_errors: Vec::new(),
-            segments: Vec::new(),
-        };
-        match fold_seed(stream) {
-            Err(SimError::Join(e)) => assert_eq!(e, JoinError::MissingSessionMeta(b.meta.session)),
-            other => panic!("expected the join error, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_folded_matches_materialized(&small, &[2, 5]);
     }
 
     #[test]

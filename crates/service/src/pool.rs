@@ -251,6 +251,8 @@ struct Shared {
     quarantine_log: Mutex<Vec<QuarantineDiagnostic>>,
     /// Lock order: `disk` before `queue` (never the reverse).
     disk: Mutex<DiskState>,
+    #[cfg(test)]
+    hooks: tests::Hooks,
 }
 
 /// The worker pool. Dropping it without [`Pool::shutdown`] detaches the
@@ -292,6 +294,8 @@ impl Pool {
                 down: None,
                 parked: Vec::new(),
             }),
+            #[cfg(test)]
+            hooks: tests::Hooks::default(),
         });
         shared.counters.quarantined.store(
             shared.quarantine_log.lock().unwrap().len() as u64,
@@ -476,17 +480,10 @@ impl Pool {
             q.waiting.remove(pos);
             q.inflight_sessions = q.inflight_sessions.saturating_sub(handle.cost.sessions);
             drop(q);
-            let mut m = handle.manifest.lock().unwrap();
-            if !m.state.is_terminal() {
-                m.state = JobState::Cancelled;
-                let _ = self.shared.registry.save_manifest(&m);
-                self.shared
-                    .counters
-                    .jobs_cancelled
-                    .fetch_add(1, Ordering::Relaxed);
+            // Taken off the queue, the job is this call's alone to finish.
+            if !handle.state().is_terminal() {
+                finish_job(&self.shared, &handle, JobState::Cancelled, None);
             }
-            drop(m);
-            handle.beat("cancelled", &[]);
         }
         Some(handle.status())
     }
@@ -571,12 +568,25 @@ impl Pool {
     /// running finish their current seed and are left `Running` on disk —
     /// restart recovery resumes them from their checkpoints. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.cond.notify_all();
+        request_shutdown(&self.shared);
+        self.join_workers();
+    }
+
+    fn join_workers(&self) {
         for w in self.workers.lock().unwrap().drain(..) {
             let _ = w.join();
         }
     }
+}
+
+/// Set the shutdown flag and wake every idle worker. The flag is set under
+/// the queue lock: a worker checks it and starts waiting on `cond` in one
+/// critical section, so it either sees the flag or is already waiting when
+/// the notification comes.
+fn request_shutdown(shared: &Shared) {
+    let _q = shared.queue.lock().unwrap();
+    shared.shutdown.store(true, Ordering::Relaxed);
+    shared.cond.notify_all();
 }
 
 fn worker_loop(shared: &Shared) {
@@ -590,6 +600,8 @@ fn worker_loop(shared: &Shared) {
                 if let Some(idx) = pick_next(shared, &q.waiting) {
                     break q.waiting.remove(idx);
                 }
+                #[cfg(test)]
+                shared.hooks.before_wait();
                 q = shared.cond.wait(q).unwrap();
             }
         };
@@ -681,42 +693,55 @@ fn park_job(shared: &Shared, handle: &JobHandle, failure: StorageFailure) {
 fn storage_fail_or_park(shared: &Shared, handle: &JobHandle, error: JobError) {
     match shared.registry.probe_disk() {
         DiskHealth::Degraded(failure) => park_job(shared, handle, failure),
-        DiskHealth::Ok => fail_job(shared, handle, error),
+        DiskHealth::Ok => finish_job(shared, handle, JobState::Failed, Some(error)),
     }
 }
 
-/// Transition + persist + count a terminal failure.
-fn fail_job(shared: &Shared, handle: &JobHandle, error: JobError) {
-    let mut m = handle.manifest.lock().unwrap();
-    m.state = JobState::Failed;
-    m.error = Some(error.clone());
-    let _ = shared.registry.save_manifest(&m);
-    shared.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    drop(m);
-    handle.beat(
-        "failed",
-        &[
-            ("error_kind", Value::String(error.kind.clone())),
-            ("error", Value::String(error.message.clone())),
+/// Move a job to its terminal `state` (`Done`, `Failed` with `error`, or
+/// `Cancelled`): push the terminal heartbeat, then persist and count the
+/// state, then wake heartbeat waiters.
+///
+/// The heartbeat goes first, so a streamer that sees the terminal state
+/// ([`JobHandle::wait_heartbeats`] reads it after the lines, under the
+/// heartbeat lock) has the terminal line too. It is pushed outside the
+/// manifest lock, because `wait_heartbeats` takes the heartbeat lock
+/// before the manifest lock. The count is taken under the manifest lock,
+/// so whoever sees the state (a test, a `/metrics` scrape) sees the count.
+/// A waiter that checked the state before it turned is woken under the
+/// heartbeat lock, so the wake-up cannot fall between its check and its
+/// wait.
+fn finish_job(shared: &Shared, handle: &JobHandle, state: JobState, error: Option<JobError>) {
+    let (event, counter) = match state {
+        JobState::Done => ("done", &shared.counters.jobs_completed),
+        JobState::Failed => ("failed", &shared.counters.jobs_failed),
+        JobState::Cancelled => ("cancelled", &shared.counters.jobs_cancelled),
+        JobState::Queued | JobState::Running => unreachable!("{state:?} is not terminal"),
+    };
+    let extra = match &error {
+        Some(e) => vec![
+            ("error_kind", Value::String(e.kind.clone())),
+            ("error", Value::String(e.message.clone())),
         ],
-    );
-}
-
-fn cancel_job(shared: &Shared, handle: &JobHandle) {
+        None => Vec::new(),
+    };
+    handle.beat(event, &extra);
+    #[cfg(test)]
+    shared.hooks.before_terminal_state(handle);
     let mut m = handle.manifest.lock().unwrap();
-    m.state = JobState::Cancelled;
+    m.state = state;
+    if error.is_some() {
+        m.error = error;
+    }
     let _ = shared.registry.save_manifest(&m);
-    shared
-        .counters
-        .jobs_cancelled
-        .fetch_add(1, Ordering::Relaxed);
+    counter.fetch_add(1, Ordering::Relaxed);
     drop(m);
-    handle.beat("cancelled", &[]);
+    let _hb = handle.heartbeats.lock().unwrap();
+    handle.hb_cond.notify_all();
 }
 
 fn run_job(shared: &Shared, handle: &JobHandle) {
     if handle.cancel.load(Ordering::Relaxed) {
-        cancel_job(shared, handle);
+        finish_job(shared, handle, JobState::Cancelled, None);
         return;
     }
     // A degraded state dir: don't start work that cannot checkpoint —
@@ -806,7 +831,7 @@ fn run_job(shared: &Shared, handle: &JobHandle) {
         }
         if handle.cancel.load(Ordering::Relaxed) || shared.shutdown.load(Ordering::Relaxed) {
             if handle.cancel.load(Ordering::Relaxed) {
-                cancel_job(shared, handle);
+                finish_job(shared, handle, JobState::Cancelled, None);
             } else {
                 // Shutdown mid-job: leave the manifest `Running`; restart
                 // recovery re-enqueues and resumes from the checkpoints.
@@ -818,9 +843,9 @@ fn run_job(shared: &Shared, handle: &JobHandle) {
             Ok(p) => p,
             Err(e) => {
                 if handle.cancel.load(Ordering::Relaxed) {
-                    cancel_job(shared, handle);
+                    finish_job(shared, handle, JobState::Cancelled, None);
                 } else {
-                    fail_job(shared, handle, e);
+                    finish_job(shared, handle, JobState::Failed, Some(e));
                 }
                 return;
             }
@@ -871,7 +896,7 @@ fn run_job(shared: &Shared, handle: &JobHandle) {
     let summary = match shared.runner.summarize(&spec, &ordered) {
         Ok(s) => s,
         Err(e) => {
-            fail_job(shared, handle, e);
+            finish_job(shared, handle, JobState::Failed, Some(e));
             return;
         }
     };
@@ -888,17 +913,7 @@ fn run_job(shared: &Shared, handle: &JobHandle) {
         );
         return;
     }
-    let mut m = handle.manifest.lock().unwrap();
-    m.state = JobState::Done;
-    let _ = shared.registry.save_manifest(&m);
-    // Counted under the manifest lock, as `Pool::cancel` counts: whoever
-    // sees the terminal state (a test, a `/metrics` scrape) sees the count.
-    shared
-        .counters
-        .jobs_completed
-        .fetch_add(1, Ordering::Relaxed);
-    drop(m);
-    handle.beat("done", &[]);
+    finish_job(shared, handle, JobState::Done, None);
 }
 
 #[cfg(test)]
@@ -907,6 +922,39 @@ mod tests {
     use crate::admission::AdmissionConfig;
     use std::fs;
     use std::path::PathBuf;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// A hook is cloned out of its slot before it runs, so hooks running
+    /// on several threads at once never wait on each other.
+    type Hook<T> = Mutex<Option<Arc<T>>>;
+
+    /// Points where a test can run code inside the pool, to force the
+    /// interleavings the pool must survive.
+    #[derive(Default)]
+    pub(super) struct Hooks {
+        /// Runs in a worker that found no job, under the queue lock,
+        /// between its shutdown check and its wait.
+        before_wait: Hook<dyn Fn() + Send + Sync>,
+        /// Runs between a job's terminal heartbeat and its terminal state.
+        before_terminal_state: Hook<dyn Fn(&JobHandle) + Send + Sync>,
+    }
+
+    impl Hooks {
+        pub(super) fn before_wait(&self) {
+            let hook = self.before_wait.lock().unwrap().clone();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+
+        pub(super) fn before_terminal_state(&self, handle: &JobHandle) {
+            let hook = self.before_terminal_state.lock().unwrap().clone();
+            if let Some(hook) = hook {
+                hook(handle);
+            }
+        }
+    }
 
     /// A runner that squares the seed — cheap, deterministic, and
     /// sufficient to exercise every pool path.
@@ -1182,6 +1230,118 @@ mod tests {
         assert!(events.contains(&"started".to_owned()), "{events:?}");
         assert!(events.contains(&"seed_done".to_owned()), "{events:?}");
         assert_eq!(events.last().map(String::as_str), Some("done"));
+        pool.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn shutdown_reaches_a_worker_between_its_check_and_its_wait() {
+        let root = scratch("shutdown-window");
+        let pool = pool_at(&root, 1);
+        let (in_window_tx, in_window_rx) = mpsc::channel();
+        let (requested_tx, requested_rx) = mpsc::channel::<()>();
+        let armed = Mutex::new(Some((in_window_tx, requested_rx)));
+        {
+            // Installed under the queue lock and followed by a wake-up, so
+            // the idle worker's next pass runs the hook.
+            let _q = pool.shared.queue.lock().unwrap();
+            *pool.shared.hooks.before_wait.lock().unwrap() = Some(Arc::new(move || {
+                if let Some((in_window, requested)) = armed.lock().unwrap().take() {
+                    in_window.send(()).unwrap();
+                    // Hold the worker between its check and its wait until
+                    // the shutdown request returns. A request that needs
+                    // the queue lock cannot return meanwhile, so the hold
+                    // gives up after a bound.
+                    let _ = requested.recv_timeout(Duration::from_millis(500));
+                }
+            }));
+            pool.shared.cond.notify_all();
+        }
+        in_window_rx.recv().unwrap();
+        let (joined_tx, joined_rx) = mpsc::channel();
+        let shutdown = thread::spawn(move || {
+            request_shutdown(&pool.shared);
+            let _ = requested_tx.send(());
+            pool.join_workers();
+            joined_tx.send(()).unwrap();
+        });
+        joined_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("shutdown hung: the worker missed its wake-up");
+        shutdown.join().unwrap();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The last event of `lines`.
+    fn last_event(lines: &[String]) -> Option<String> {
+        let line = Value::parse_json(lines.last()?).unwrap();
+        Some(line.get("event")?.as_str()?.to_owned())
+    }
+
+    #[test]
+    fn terminal_heartbeat_is_visible_before_the_terminal_state() {
+        let root = scratch("terminal-beat");
+        let pool = pool_at(&root, 1);
+        // What a streamer saw between each job's terminal heartbeat and
+        // its terminal state: the last event and whether it read terminal.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        // The first job to finish holds its worker at that point until
+        // released, so a second job waits in the queue.
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let hold = Mutex::new(Some((held_tx, release_rx)));
+        {
+            let seen = Arc::clone(&seen);
+            *pool.shared.hooks.before_terminal_state.lock().unwrap() =
+                Some(Arc::new(move |h: &JobHandle| {
+                    let (lines, terminal) = h.wait_heartbeats(0, Duration::ZERO);
+                    seen.lock()
+                        .unwrap()
+                        .push((h.id.clone(), last_event(&lines), terminal));
+                    let held = hold.lock().unwrap().take();
+                    if let Some((held, release)) = held {
+                        held.send(lines.len()).unwrap();
+                        release.recv().unwrap();
+                    }
+                }));
+        }
+        let submit = |s: JobSpec| match pool.submit(s) {
+            SubmitOutcome::Accepted { id, .. } => id,
+            other => panic!("{other:?}"),
+        };
+        let done = submit(spec(vec![1, 2]));
+        let n_lines = held_rx.recv().unwrap();
+        // A streamer that has every line so far waits for more; the state
+        // turning terminal must wake it.
+        let handle = pool.job(&done).unwrap();
+        let streamer = thread::spawn(move || {
+            let started = Instant::now();
+            let (lines, terminal) = handle.wait_heartbeats(n_lines, Duration::from_secs(30));
+            (lines.len(), terminal, started.elapsed())
+        });
+        let cancelled = submit(spec(vec![3]));
+        pool.cancel(&cancelled).unwrap();
+        release_tx.send(()).unwrap();
+        let (new_lines, terminal, waited) = streamer.join().unwrap();
+        assert_eq!((new_lines, terminal), (0, true));
+        assert!(
+            waited < Duration::from_secs(20),
+            "the streamer slept {waited:?}"
+        );
+        let mut bad = spec(vec![4]);
+        bad.config = json!({ "sessions": 10u64, "fail_on": 4u64 });
+        let failed = submit(bad);
+        assert_eq!(wait_terminal(&pool, &failed), JobState::Failed);
+        assert_eq!(wait_terminal(&pool, &done), JobState::Done);
+
+        let seen = seen.lock().unwrap().clone();
+        let expect = [(done, "done"), (cancelled, "cancelled"), (failed, "failed")];
+        assert_eq!(seen.len(), expect.len(), "{seen:?}");
+        for ((id, event), (seen_id, last, terminal)) in expect.iter().zip(&seen) {
+            assert_eq!(seen_id, id);
+            assert_eq!(last.as_deref(), Some(*event), "{id}: {seen:?}");
+            assert!(!terminal, "{id} read terminal before its last line");
+        }
         pool.shutdown();
         let _ = fs::remove_dir_all(&root);
     }

@@ -24,6 +24,6 @@ pub mod segment;
 pub use dataset::{
     proxy_keep_mask, Dataset, JoinError, ProxySignals, SessionData, SpillSpec, TelemetrySink,
 };
-pub use merge::{validate_sealed, SessionStream};
+pub use merge::SessionStream;
 pub use records::{CdnChunkRecord, ChunkRecord, ChunkTruth, PlayerChunkRecord, SessionMeta};
 pub use segment::{SegmentMeta, SegmentReader};

@@ -29,7 +29,6 @@
 //! the telemetry tests keep as their oracle; with several violations the
 //! merge reports the first in key order.
 
-use std::io;
 use std::path::Path;
 
 use crate::dataset::{cdn_key, player_key, sort_run, JoinError, SessionData, TelemetrySink};
@@ -392,15 +391,6 @@ impl Iterator for SessionStream {
             }
         }
     }
-}
-
-/// Convenience for tests and manifest validation: check every sealed
-/// segment in `sealed` against its manifest entry (fingerprints included).
-pub fn validate_sealed(sealed: &[SegmentMeta]) -> io::Result<()> {
-    for meta in sealed {
-        crate::segment::validate_segment(meta)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -94,8 +94,9 @@ pub struct SegmentHeader {
     pub max_key: SortKey,
 }
 
-/// Manifest entry describing a sealed segment; serializable so sweep
-/// checkpoints can record it and `--resume` can re-validate the file.
+/// Manifest entry describing a sealed segment; serializable so a manifest
+/// can be recorded and the file re-validated against it later
+/// ([`validate_segment`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentMeta {
     /// Path of the sealed segment file.
