@@ -1,9 +1,11 @@
 //! A byte-capacity cache with pluggable eviction.
 
-use super::{EvictionPolicy, ObjectKey};
+use super::run::WarmRun;
+use super::{EvictionPolicy, ObjectKey, MANIFEST_BYTES};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use streamlab_workload::{ChunkIndex, Video};
 
 /// Slot sentinel for "no slot".
 const NIL: u32 = u32::MAX;
@@ -139,18 +141,27 @@ impl Index {
     }
 }
 
+/// A tier stops taking a warmed video's chunks once this full; it still
+/// takes every manifest.
+const WARM_FULL: f64 = 0.9;
+
 /// A byte-capacity cache over [`ObjectKey`]s.
 ///
-/// Every object lives once, in a slot of one slab, found through the
-/// tagged index. LRU and FIFO order the slots by the queue threaded
+/// Every explicit object lives once, in a slot of one slab, found through
+/// the tagged index. LRU and FIFO order the slots by the queue threaded
 /// through them; Perfect-LFU and GD-Size by a `BTreeSet` of computed
 /// priorities. Eviction pops the lowest-priority (or oldest) entry,
 /// skipping pinned entries. Where a key sits in the slab or the index
 /// never decides what is evicted.
+///
+/// Under LRU and FIFO a [warm-up](ByteCache::warm) stays implicit: a run
+/// of fill-order positions, older than every unpinned explicit entry, that
+/// a lookup consults only when the index misses.
 #[derive(Debug, Clone)]
 pub struct ByteCache {
     policy: EvictionPolicy,
     capacity: u64,
+    /// Bytes of the explicit entries and the warm run together.
     used: u64,
     slots: Vec<Slot>,
     /// Head of the free-slot chain.
@@ -166,6 +177,8 @@ pub struct ByteCache {
     order_keys: Vec<(u64, u64)>,
     /// One pin bit per slot; stays empty until something is pinned.
     pins: Vec<u64>,
+    /// The untouched part of the warm-up (LRU/FIFO only).
+    run: WarmRun,
     /// Monotone counter used for priority ties in `tree`.
     tick: u64,
     /// Perfect-LFU frequency table (survives eviction).
@@ -195,6 +208,7 @@ impl ByteCache {
             tree: BTreeSet::new(),
             order_keys: Vec::new(),
             pins: Vec::new(),
+            run: WarmRun::default(),
             tick: 0,
             freq: FxHashMap::default(),
             gd_inflation: 0,
@@ -208,6 +222,11 @@ impl ByteCache {
         self.capacity
     }
 
+    /// The eviction policy.
+    pub fn policy(&self) -> EvictionPolicy {
+        self.policy
+    }
+
     /// Bytes currently stored.
     pub fn used(&self) -> u64 {
         self.used
@@ -215,12 +234,12 @@ impl ByteCache {
 
     /// Number of objects stored.
     pub fn len(&self) -> usize {
-        self.index.len
+        self.index.len + self.run.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.index.len == 0
+        self.len() == 0
     }
 
     /// Lifetime (hits, misses) counters from `lookup`.
@@ -304,22 +323,38 @@ impl ByteCache {
         if self.policy == EvictionPolicy::PerfectLfu {
             *self.freq.entry(key).or_insert(0) += 1;
         }
-        match self.find(&key) {
+        let hit = match self.find(&key) {
             Some((_, slot)) => {
-                self.hits += 1;
                 self.touch(slot);
                 true
             }
-            None => {
-                self.misses += 1;
-                false
-            }
+            None => self.touch_warm(key),
+        };
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        hit
+    }
+
+    /// Record an access to `key` if the warm run holds it: LRU moves it
+    /// to the explicit queue's newest end, FIFO leaves it in place.
+    /// Returns whether the run held it.
+    fn touch_warm(&mut self, key: ObjectKey) -> bool {
+        let Some((p, size)) = self.run.find(&key) else {
+            return false;
+        };
+        if self.policy == EvictionPolicy::Lru {
+            self.run.take(p);
+            self.admit(key, size);
+        }
+        true
     }
 
     /// Presence check without touching stats or ordering.
     pub fn contains(&self, key: ObjectKey) -> bool {
-        self.find(&key).is_some()
+        self.find(&key).is_some() || self.run.find(&key).is_some()
     }
 
     /// Insert `key` (`size` bytes), evicting until it fits. Returns the
@@ -330,9 +365,11 @@ impl ByteCache {
         if size > self.capacity {
             return Vec::new();
         }
-        let tag = tag_of(&key);
-        if let Some((_, slot)) = self.index.find(&self.slots, &key, tag) {
+        if let Some((_, slot)) = self.find(&key) {
             self.touch(slot);
+            return Vec::new();
+        }
+        if self.touch_warm(key) {
             return Vec::new();
         }
         let mut evicted = Vec::new();
@@ -342,6 +379,14 @@ impl ByteCache {
                 None => return evicted, // everything pinned; cannot admit
             }
         }
+        self.admit(key, size);
+        self.used += size;
+        evicted
+    }
+
+    /// Store `key` in a slot and at the newest end of the eviction order;
+    /// the caller accounts its bytes.
+    fn admit(&mut self, key: ObjectKey, size: u64) -> u32 {
         let new = Slot {
             key,
             size,
@@ -363,7 +408,7 @@ impl ByteCache {
                 free
             }
         };
-        self.index.insert(entry(tag, slot));
+        self.index.insert(entry(tag_of(&key), slot));
         if self.queued() {
             self.push_back(slot);
         } else {
@@ -374,8 +419,116 @@ impl ByteCache {
             }
             self.order_keys[slot as usize] = order_key;
         }
-        self.used += size;
-        evicted
+        slot
+    }
+
+    /// Warm the cache with `videos`, in fill order: each video's manifest,
+    /// then — unless the cache is already 90 % full — its first `chunks`
+    /// chunks at each of `rungs` in turn. Every fill acts as an
+    /// [`insert`](ByteCache::insert), so overflow evicts the oldest fills
+    /// and a repeated fill refreshes; the evicted objects are dropped.
+    ///
+    /// Under LRU and FIFO the fill stays implicit, a run of fill-order
+    /// positions: building it costs a few counters per video, and only
+    /// objects that traffic touches are ever stored. Perfect-LFU and
+    /// GD-Size order victims by priority, not age, so they insert each
+    /// fill.
+    ///
+    /// Video ids must ascend. Under LRU and FIFO a cache warms once
+    /// between clears, and entries cached before must be pinned: an
+    /// unpinned one would be older than the whole run.
+    pub fn warm(&mut self, rungs: &[u32], videos: &[(&Video, u32)]) {
+        let implicit = self.queued();
+        if implicit {
+            assert!(self.run.is_unbuilt(), "a cache warms once between clears");
+            let pinned: usize = self.pins.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(
+                pinned, self.index.len,
+                "unpinned entries before the warm-up"
+            );
+            self.run = WarmRun::new(rungs);
+        }
+        for &(video, chunks) in videos {
+            if implicit {
+                self.run.open(video);
+            }
+            self.warm_fill(ObjectKey::manifest(video.id), MANIFEST_BYTES);
+            if self.used as f64 >= WARM_FULL * self.capacity as f64 {
+                continue;
+            }
+            if implicit {
+                self.run.widen(chunks);
+            }
+            for (r, &rung) in rungs.iter().enumerate() {
+                if self.warm_block(video, rung, chunks, rungs[..r].contains(&rung)) {
+                    continue;
+                }
+                for c in 0..chunks {
+                    let key = ObjectKey {
+                        video: video.id,
+                        chunk: ChunkIndex(c),
+                        bitrate_kbps: rung,
+                    };
+                    self.warm_fill(key, video.chunk_bytes(ChunkIndex(c), rung));
+                }
+            }
+        }
+    }
+
+    /// One warm-up fill. Under LRU and FIFO it settles the run's next
+    /// position exactly as [`insert`](ByteCache::insert) would treat the
+    /// object, with byte counters only.
+    fn warm_fill(&mut self, key: ObjectKey, size: u64) {
+        if !self.queued() {
+            self.insert(key, size);
+            return;
+        }
+        let live = if size > self.capacity {
+            false
+        } else if let Some((_, slot)) = self.find(&key) {
+            self.touch(slot);
+            false
+        } else if let Some((p, _)) = self.run.find(&key) {
+            // A refresh: LRU moves the object up to this position.
+            let lru = self.policy == EvictionPolicy::Lru;
+            if lru {
+                self.run.take(p);
+            }
+            lru
+        } else {
+            loop {
+                if self.used + size <= self.capacity {
+                    self.used += size;
+                    break true;
+                }
+                if self.pop_victim().is_none() {
+                    break false; // everything left is pinned
+                }
+            }
+        };
+        self.run.settle(live);
+    }
+
+    /// Settle all of `video`'s first `chunks` chunks at `rung` at once, if
+    /// none of them could evict, repeat a cached object or be refused.
+    /// Returns whether it did.
+    fn warm_block(&mut self, video: &Video, rung: u32, chunks: u32, repeated_rung: bool) -> bool {
+        if !self.queued() || repeated_rung || self.index.len > 0 {
+            return false;
+        }
+        let Some(last) = chunks.checked_sub(1) else {
+            return true;
+        };
+        // Every chunk before a video's last is full length.
+        let first = video.chunk_bytes(ChunkIndex(0), rung);
+        let last = video.chunk_bytes(ChunkIndex(last), rung);
+        let bytes = first * u64::from(chunks - 1) + last;
+        if first.max(last) > self.capacity || self.used + bytes > self.capacity {
+            return false;
+        }
+        self.used += bytes;
+        self.run.settle_live(chunks);
+        true
     }
 
     /// Drop every entry at once (a process restart losing its in-memory
@@ -391,13 +544,23 @@ impl ByteCache {
         self.tree.clear();
         self.order_keys.clear();
         self.pins.clear();
+        self.run = WarmRun::default();
         self.used = 0;
     }
 
     /// Pin `key` so it is never evicted (used by the "cache the first chunk
     /// of every video" policy). No-op if absent.
     pub fn pin(&mut self, key: ObjectKey) {
-        if let Some((_, slot)) = self.find(&key) {
+        let slot = match self.find(&key) {
+            Some((_, slot)) => Some(slot),
+            // A pinned entry is never evicted, so where it sits in the
+            // queue cannot be observed: the warm object moves to the end.
+            None => self.run.find(&key).map(|(p, size)| {
+                self.run.take(p);
+                self.admit(key, size)
+            }),
+        };
+        if let Some(slot) = slot {
             let word = slot as usize / 64;
             if self.pins.len() <= word {
                 self.pins.resize(word + 1, 0);
@@ -408,9 +571,14 @@ impl ByteCache {
 
     /// Remove a specific key (e.g. when promoting between tiers).
     pub fn remove(&mut self, key: ObjectKey) -> bool {
-        match self.find(&key) {
-            Some((bucket, slot)) => {
-                self.release(bucket, slot);
+        if let Some((bucket, slot)) = self.find(&key) {
+            self.release(bucket, slot);
+            return true;
+        }
+        match self.run.find(&key) {
+            Some((p, size)) => {
+                self.run.take(p);
+                self.used -= size;
                 true
             }
             None => false,
@@ -435,8 +603,14 @@ impl ByteCache {
         self.free = slot;
     }
 
-    /// Evict the policy's victim, skipping pinned entries.
+    /// Evict the policy's victim, skipping pinned entries. Under LRU and
+    /// FIFO that is the warm run's oldest object while one is left: every
+    /// untouched warm object is older than any unpinned explicit entry.
     fn pop_victim(&mut self) -> Option<(ObjectKey, u64)> {
+        if let Some((key, size)) = self.run.pop() {
+            self.used -= size;
+            return Some((key, size));
+        }
         let slot = if self.queued() {
             let mut slot = self.head;
             while slot != NIL && self.pinned(slot) {

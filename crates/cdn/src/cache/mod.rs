@@ -8,6 +8,7 @@
 
 mod bytecache;
 mod object;
+mod run;
 mod tiered;
 
 pub use bytecache::ByteCache;

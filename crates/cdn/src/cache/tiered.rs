@@ -4,6 +4,7 @@ use super::{ByteCache, EvictionPolicy, ObjectKey};
 use crate::ats::CacheStatus;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use streamlab_workload::Video;
 
 /// Cache admission policy: which backend fills are worth caching at all.
 ///
@@ -49,7 +50,7 @@ impl Default for TieredCacheConfig {
 /// Movement counters for the two-tier cache: how much churn the serve
 /// path generated. Deterministic (pure functions of the request stream),
 /// aggregated across servers in canonical order by the observability
-/// layer. Warming (`fill_disk` / `fill_ram`) is not counted — it happens
+/// layer. Warming ([`TieredCache::warm`]) is not counted — it happens
 /// once before the event loop and is not churn.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierChurn {
@@ -150,14 +151,12 @@ impl TieredCache {
         }
     }
 
-    /// Install into the disk tier only (cache warming).
-    pub fn fill_disk(&mut self, key: ObjectKey, size: u64) {
-        self.disk.insert(key, size);
-    }
-
-    /// Install into the RAM tier only (cache warming; no demotion churn).
-    pub fn fill_ram(&mut self, key: ObjectKey, size: u64) {
-        self.ram.insert(key, size);
+    /// Warm both tiers in fill order ([`ByteCache::warm`]): the disk at
+    /// `disk_rungs`, then RAM at `ram_rungs`, each with every one of
+    /// `videos`. Neither tier demotes into the other.
+    pub fn warm(&mut self, disk_rungs: &[u32], ram_rungs: &[u32], videos: &[(&Video, u32)]) {
+        self.disk.warm(disk_rungs, videos);
+        self.ram.warm(ram_rungs, videos);
     }
 
     /// Wipe the RAM tier (a server restart: memory contents are lost, the
@@ -166,6 +165,14 @@ impl TieredCache {
     /// miss-storm mechanism.
     pub fn wipe_ram(&mut self) {
         self.ram.clear();
+    }
+
+    /// Drop both tiers' contents and free their memory, for a server that
+    /// serves no more requests. The churn counters stay.
+    pub fn retire(&mut self) {
+        self.ram = ByteCache::new(self.ram.policy(), self.ram.capacity());
+        self.disk = ByteCache::new(self.disk.policy(), self.disk.capacity());
+        self.seen = FxHashMap::default();
     }
 
     /// Pin an object in the disk tier (and RAM if present).

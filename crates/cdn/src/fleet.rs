@@ -315,31 +315,22 @@ impl CdnFleet {
 
     /// Warm every server's cache to a plausible steady state.
     ///
-    /// Disk tiers are filled with each server's own videos in popularity
-    /// order (most popular first) at the ladder rungs ABR traffic
-    /// concentrates on, until ~90 % full; then RAM tiers are filled the
-    /// same way (most popular content first). Optionally pins first chunks
-    /// of all assigned videos.
+    /// Each server warms its own videos (each PoP's affinity server for
+    /// the video) in popularity order, most popular first: the disk tier
+    /// at every ladder rung until ~90 % full, then the RAM tier the same
+    /// way at the rungs traffic concentrates on. Optionally pins first
+    /// chunks of all assigned videos.
+    ///
+    /// The fill stays implicit ([`TieredCache::warm`](crate::cache::TieredCache::warm)):
+    /// warm-up costs a few counters per assigned video, and a server
+    /// stores an object only once traffic touches it. Every fill, pin and
+    /// fullness check touches only the server being warmed, in one fixed
+    /// order, so the caches are the same however the fleet is later split.
     ///
     /// Without warming, the measurement window would start against cold
     /// caches and overstate miss rates relative to the paper's
     /// steady-state 2 %.
     pub fn warm(&mut self, catalog: &Catalog) {
-        self.warm_parallel(catalog, 1);
-    }
-
-    /// [`CdnFleet::warm`] spread across up to `threads` workers.
-    ///
-    /// Warming is embarrassingly parallel *per server*: every fill, pin
-    /// and fullness check touches only the server being warmed, and the
-    /// affinity assignment is a pure function of `(video, PoP)`. The
-    /// historical videos×PoPs loop is therefore restructured as one pass
-    /// per server over that server's assigned videos in ascending catalog
-    /// (popularity) order — the exact per-server subsequence of the old
-    /// global order — so cache contents and churn counters are
-    /// byte-identical at any `threads`, and worker scheduling cannot leak
-    /// into the output.
-    pub fn warm_parallel(&mut self, catalog: &Catalog, threads: usize) {
         self.catalog_len = catalog.len();
         if !self.cfg.warm_caches && !self.cfg.pin_first_chunks {
             return;
@@ -349,128 +340,69 @@ impl CdnFleet {
         // concentrates on (the ABR's mid-ladder initial pick and the top
         // rung fast links converge to) — what an LRU RAM tier would
         // actually retain at steady state.
-        let warm_rungs: Vec<u32> = catalog.ladder().rungs_kbps.clone();
-        let ram_rungs: Vec<u32> = vec![
+        let warm_rungs = &catalog.ladder().rungs_kbps;
+        let ram_rungs = [
             catalog.ladder().floor_rung(1_200.0),
             catalog.ladder().max_kbps(),
         ];
 
         // Each PoP warms a video on its affinity server; collect every
-        // server's assignment list up front, in catalog order.
-        let mut assigned: Vec<Vec<&Video>> = vec![Vec::new(); self.servers.len()];
+        // server's assignment list, in catalog order, with the chunks
+        // each video warms.
+        let mut assigned: Vec<Vec<(&Video, u32)>> = vec![Vec::new(); self.servers.len()];
         for video in catalog.videos() {
+            let chunks = warmed_chunks(video, self.catalog_len);
             for members in self.by_pop.iter().filter(|m| !m.is_empty()) {
                 let h = derive_seed(video.id.raw(), "fleet-affinity");
-                assigned[members[(h % members.len() as u64) as usize]].push(video);
+                assigned[members[(h % members.len() as u64) as usize]].push((video, chunks));
             }
         }
 
-        let cfg = &self.cfg;
-        let catalog_len = self.catalog_len;
-        let warm_one = |server: &mut CdnServer, videos: &[&Video]| {
-            if cfg.pin_first_chunks {
-                for video in videos {
-                    for &rung in &warm_rungs {
+        for (server, videos) in self.servers.iter_mut().zip(&assigned) {
+            let cache = server.cache_mut();
+            if self.cfg.pin_first_chunks {
+                for &(video, _) in videos {
+                    for &rung in warm_rungs {
                         let k = ObjectKey {
                             video: video.id,
                             chunk: ChunkIndex(0),
                             bitrate_kbps: rung,
                         };
-                        let size = video.chunk_bytes(ChunkIndex(0), rung);
-                        server.cache_mut().fill(k, size);
-                        server.cache_mut().pin(k);
+                        cache.fill(k, video.chunk_bytes(ChunkIndex(0), rung));
+                        cache.pin(k);
                     }
                 }
             }
-            if !cfg.warm_caches {
-                return;
+            // Disk first, then RAM, each most popular first, so RAM ends
+            // up holding the head of the popularity distribution, as an
+            // LRU in steady state would. Manifests are a few KB and every
+            // session requests one: each tier warms every video's, even
+            // once it is too full for the video's chunks.
+            if self.cfg.warm_caches {
+                cache.warm(warm_rungs, &ram_rungs, videos);
             }
-            // Pass 1: disk, most popular first, until ~90 % full. Pass 2:
-            // RAM the same way — so RAM ends up holding the *head* of the
-            // popularity distribution, as an LRU in steady state would.
-            for ram_pass in [false, true] {
-                for video in videos {
-                    let cache = server.cache_mut();
-                    // Manifests are a few KB and requested by every
-                    // session: always warm, in both tiers — even for
-                    // videos whose chunks no longer fit.
-                    if ram_pass {
-                        cache.fill_ram(ObjectKey::manifest(video.id), crate::cache::MANIFEST_BYTES);
-                    } else {
-                        cache
-                            .fill_disk(ObjectKey::manifest(video.id), crate::cache::MANIFEST_BYTES);
-                    }
-                    let full = if ram_pass {
-                        cache.ram().used() as f64 >= 0.9 * cache.ram().capacity() as f64
-                    } else {
-                        cache.disk().used() as f64 >= 0.9 * cache.disk().capacity() as f64
-                    };
-                    if full {
-                        continue;
-                    }
-                    let rungs = if ram_pass { &ram_rungs } else { &warm_rungs };
-                    // Steady-state caches hold the union of what past
-                    // viewers pulled, and viewers abandon mid-video: the
-                    // head of the catalog is warmed end-to-end, the tail
-                    // only through a watch-prefix. Sessions that outlast
-                    // the warmed prefix then mix hits and misses (the
-                    // paper's 60 % mean miss ratio within miss sessions).
-                    let head = video.id.rank() * 5 <= catalog_len;
-                    let warmed_chunks = if head {
-                        video.chunk_count()
-                    } else {
-                        let frac = 0.72
-                            + 0.28 * (derive_seed(video.id.raw(), "warm-frac") % 1000) as f64
-                                / 1000.0;
-                        ((f64::from(video.chunk_count()) * frac).ceil() as u32)
-                            .clamp(1, video.chunk_count())
-                    };
-                    for &rung in rungs {
-                        for c in 0..warmed_chunks {
-                            let k = ObjectKey {
-                                video: video.id,
-                                chunk: ChunkIndex(c),
-                                bitrate_kbps: rung,
-                            };
-                            let size = video.chunk_bytes(ChunkIndex(c), rung);
-                            if ram_pass {
-                                cache.fill_ram(k, size);
-                            } else {
-                                cache.fill_disk(k, size);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-
-        if threads <= 1 {
-            for (idx, server) in self.servers.iter_mut().enumerate() {
-                warm_one(server, &assigned[idx]);
-            }
-        } else {
-            // Servers are independent work items; any pickup order yields
-            // the same caches, so a plain shared stack suffices.
-            let work: Vec<(&mut CdnServer, &[&Video])> = self
-                .servers
-                .iter_mut()
-                .zip(assigned.iter().map(Vec::as_slice))
-                .collect();
-            let n = work.len();
-            let work = std::sync::Mutex::new(work);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(n) {
-                    scope.spawn(|| loop {
-                        let item = work.lock().unwrap_or_else(|e| e.into_inner()).pop();
-                        match item {
-                            Some((server, videos)) => warm_one(server, videos),
-                            None => break,
-                        }
-                    });
-                }
-            });
         }
     }
+
+    /// [`CdnFleet::warm`]. Warm-up costs a few counters per assigned video
+    /// and needs no workers, so `threads` changes nothing.
+    pub fn warm_parallel(&mut self, catalog: &Catalog, _threads: usize) {
+        self.warm(catalog);
+    }
+}
+
+/// How many chunks of `video` a tier warms at each rung. Steady-state
+/// caches hold the union of what past viewers pulled, and viewers abandon
+/// mid-video: the head fifth of the catalog is warmed end-to-end, the tail
+/// only through a watch-prefix. Sessions that outlast the warmed prefix
+/// then mix hits and misses (the paper's 60 % mean miss ratio within miss
+/// sessions).
+fn warmed_chunks(video: &Video, catalog_len: usize) -> u32 {
+    if video.id.rank() * 5 <= catalog_len {
+        return video.chunk_count();
+    }
+    let frac = 0.72 + 0.28 * (derive_seed(video.id.raw(), "warm-frac") % 1000) as f64 / 1000.0;
+    ((f64::from(video.chunk_count()) * frac).ceil() as u32).clamp(1, video.chunk_count())
 }
 
 /// A slice of the fleet — a whole PoP's servers, or a single server of a
@@ -527,6 +459,15 @@ impl FleetShard {
     /// order [`CdnFleet::pop_members`] reports for this PoP.
     pub fn members(&self) -> &[usize] {
         &self.server_indices
+    }
+
+    /// Free every server's cache once the shard's sessions are done: no
+    /// session of another shard reaches these servers, and past the event
+    /// loop only their stats and churn counters are read.
+    pub fn retire_caches(&mut self) {
+        for server in &mut self.servers {
+            server.cache_mut().retire();
+        }
     }
 
     fn local_index(&self, global_idx: usize) -> usize {
@@ -880,25 +821,43 @@ mod tests {
 
     #[test]
     fn parallel_warm_matches_sequential_warm() {
+        // Warm-up has no workers left: the thread argument must change
+        // nothing, down to every object of every tier.
         let cat = small_catalog();
-        let mut seq = fleet(FleetConfig {
-            pin_first_chunks: true,
-            ..FleetConfig::default()
-        });
-        seq.warm(&cat);
-        let mut par = fleet(FleetConfig {
-            pin_first_chunks: true,
-            ..FleetConfig::default()
-        });
-        par.warm_parallel(&cat, 4);
+        let warmed = |threads: usize| {
+            let mut f = fleet(FleetConfig {
+                pin_first_chunks: true,
+                ..FleetConfig::default()
+            });
+            f.warm_parallel(&cat, threads);
+            f
+        };
+        let seq = warmed(1);
+        let par = warmed(4);
+        // Every tenth video's manifest and its first and last chunks.
+        let mut keys = Vec::new();
+        for v in cat.videos().iter().step_by(10) {
+            keys.push(ObjectKey::manifest(v.id));
+            let n = v.chunk_count();
+            for c in (0..n.min(3)).chain([n - 1]) {
+                for &rung in &cat.ladder().rungs_kbps {
+                    keys.push(ObjectKey {
+                        video: v.id,
+                        chunk: ChunkIndex(c),
+                        bitrate_kbps: rung,
+                    });
+                }
+            }
+        }
         for (a, b) in seq.servers().iter().zip(par.servers()) {
-            assert_eq!(a.cache().ram().used(), b.cache().ram().used());
-            assert_eq!(a.cache().disk().used(), b.cache().disk().used());
-            let (ca, cb) = (a.cache().churn(), b.cache().churn());
-            assert_eq!(ca.fills, cb.fills);
-            assert_eq!(ca.promotions, cb.promotions);
-            assert_eq!(ca.demotions, cb.demotions);
-            assert_eq!(ca.disk_evictions, cb.disk_evictions);
+            for (ta, tb) in [
+                (a.cache().ram(), b.cache().ram()),
+                (a.cache().disk(), b.cache().disk()),
+            ] {
+                assert_eq!((ta.used(), ta.len()), (tb.used(), tb.len()));
+                assert!(keys.iter().all(|&k| ta.contains(k) == tb.contains(k)));
+            }
+            assert_eq!(a.cache().churn(), b.cache().churn());
         }
     }
 

@@ -1,13 +1,17 @@
 //! Property-based tests for the cache layer: under arbitrary request
 //! sequences, every policy preserves the capacity and accounting
-//! invariants and evicts exactly what a naive reference model evicts, and
-//! LRU keeps the inclusion property of a stack algorithm.
+//! invariants and evicts exactly what a naive reference model evicts —
+//! also after a warm-up, which the cache keeps implicit and the model
+//! inserts object by object — and LRU keeps the inclusion property of a
+//! stack algorithm.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
-use streamlab_cdn::{ByteCache, EvictionPolicy, ObjectKey, TieredCache, TieredCacheConfig};
-use streamlab_workload::{ChunkIndex, VideoId};
+use streamlab_cdn::{
+    ByteCache, EvictionPolicy, ObjectKey, TieredCache, TieredCacheConfig, MANIFEST_BYTES,
+};
+use streamlab_workload::{ChunkIndex, Video, VideoId};
 
 fn key(v: u8, c: u8) -> ObjectKey {
     ObjectKey {
@@ -251,6 +255,202 @@ fn check_against_model(
         prop_assert_eq!(cache.stats(), (model.hits, model.misses));
     }
     Ok(cache)
+}
+
+/// A warm-up: the rungs each video warms, in order (a rung may repeat),
+/// and each video with the chunks it warms at every rung.
+#[derive(Debug, Clone)]
+struct Warm {
+    rungs: Vec<u32>,
+    videos: Vec<(Video, u32)>,
+}
+
+impl Warm {
+    fn borrowed(&self) -> Vec<(&Video, u32)> {
+        self.videos.iter().map(|(v, c)| (v, *c)).collect()
+    }
+
+    /// Every key the warm-up could fill, each video's chunks past what it
+    /// warms and a rung it never warms: the keys ops draw from.
+    fn keys(&self) -> Vec<ObjectKey> {
+        let mut keys = Vec::new();
+        for (video, _) in &self.videos {
+            keys.push(ObjectKey::manifest(video.id));
+            let mut rungs = self.rungs.clone();
+            rungs.push(99);
+            for rung in rungs {
+                for c in 0..video.chunk_count() {
+                    keys.push(ObjectKey {
+                        video: video.id,
+                        chunk: ChunkIndex(c),
+                        bitrate_kbps: rung,
+                    });
+                }
+            }
+        }
+        keys
+    }
+}
+
+/// Up to eight videos of 1–7 chunks at rungs of 1–12 kbps (a 6 s chunk is
+/// 750 bytes per kbps), each warming up to all its chunks.
+fn warm_strategy() -> impl Strategy<Value = Warm> {
+    (
+        proptest::collection::vec(1u32..=12, 1..4),
+        proptest::collection::vec((1u64..4, 1.0f64..42.0, 0.0f64..=1.0), 1..9),
+    )
+        .prop_map(|(rungs, specs)| {
+            let mut id = 0;
+            let videos = specs
+                .into_iter()
+                .map(|(gap, duration_s, share)| {
+                    id += gap;
+                    let video = Video {
+                        id: VideoId(id),
+                        duration_s,
+                    };
+                    let chunks = (f64::from(video.chunk_count()) * share).round() as u32;
+                    (video, chunks)
+                })
+                .collect();
+            Warm { rungs, videos }
+        })
+}
+
+/// An op on a key of the warm-up's key space, picked by an index taken
+/// modulo its size.
+#[derive(Debug, Clone)]
+enum WarmOp {
+    Lookup(usize),
+    Insert(usize, u64),
+    Remove(usize),
+    Pin(usize),
+    Clear,
+}
+
+/// Mostly lookups and inserts, some removes and pins, rare restarts.
+fn warm_op_strategy() -> impl Strategy<Value = WarmOp> {
+    (0u32..64, any::<usize>(), 1u64..12_000).prop_map(|(pick, k, size)| match pick {
+        0 => WarmOp::Clear,
+        1..=4 => WarmOp::Pin(k),
+        5..=12 => WarmOp::Remove(k),
+        13..=36 => WarmOp::Lookup(k),
+        _ => WarmOp::Insert(k, size),
+    })
+}
+
+/// The warm-up as the model sees it, one insert per fill: each video's
+/// manifest, then — unless the cache is 90 % full — its warmed chunks at
+/// each rung in turn.
+fn model_warm(model: &mut Model, warm: &Warm) {
+    for (video, chunks) in &warm.videos {
+        model.insert(ObjectKey::manifest(video.id), MANIFEST_BYTES);
+        if model.used() as f64 >= 0.9 * model.capacity as f64 {
+            continue;
+        }
+        for &rung in &warm.rungs {
+            for c in 0..*chunks {
+                let key = ObjectKey {
+                    video: video.id,
+                    chunk: ChunkIndex(c),
+                    bitrate_kbps: rung,
+                };
+                model.insert(key, video.chunk_bytes(ChunkIndex(c), rung));
+            }
+        }
+    }
+}
+
+/// The cache holds exactly the model's objects, bytes and stats.
+fn same_contents(cache: &ByteCache, model: &Model, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(cache.used(), model.used(), "used after {}", what);
+    prop_assert_eq!(cache.len(), model.entries.len(), "len after {}", what);
+    for e in &model.entries {
+        prop_assert!(cache.contains(e.key), "{:?} lost after {}", e.key, what);
+    }
+    prop_assert_eq!(
+        cache.stats(),
+        (model.hits, model.misses),
+        "stats after {}",
+        what
+    );
+    Ok(())
+}
+
+/// Warm a `ByteCache` and the model from the same fill, both holding the
+/// same pinned objects first, then drive both through `ops`.
+fn check_warmed_against_model(
+    policy: EvictionPolicy,
+    capacity: u64,
+    warm: &Warm,
+    pinned: &[(usize, u64)],
+    ops: Vec<WarmOp>,
+) -> Result<(), TestCaseError> {
+    let keys = warm.keys();
+    let mut cache = ByteCache::new(policy, capacity);
+    let mut model = Model::new(policy, capacity);
+    for (k, size) in pinned {
+        let k = keys[k % keys.len()];
+        cache.insert(k, *size);
+        cache.pin(k);
+        model.insert(k, *size);
+        model.pin(k);
+    }
+    cache.warm(&warm.rungs, &warm.borrowed());
+    model_warm(&mut model, warm);
+    same_contents(&cache, &model, "the warm-up")?;
+    for op in ops {
+        match op {
+            WarmOp::Lookup(k) => {
+                let k = keys[k % keys.len()];
+                prop_assert_eq!(cache.lookup(k), model.lookup(k), "lookup({:?})", k);
+            }
+            WarmOp::Insert(k, s) => {
+                let k = keys[k % keys.len()];
+                prop_assert_eq!(
+                    cache.insert(k, s),
+                    model.insert(k, s),
+                    "insert({:?}, {})",
+                    k,
+                    s
+                );
+            }
+            WarmOp::Remove(k) => {
+                let k = keys[k % keys.len()];
+                prop_assert_eq!(cache.remove(k), model.remove(k), "remove({:?})", k);
+            }
+            WarmOp::Pin(k) => {
+                let k = keys[k % keys.len()];
+                cache.pin(k);
+                model.pin(k);
+            }
+            WarmOp::Clear => {
+                cache.clear();
+                model.entries.clear();
+            }
+        }
+        same_contents(&cache, &model, "an op")?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A warm-up kept implicit behaves as one inserted fill by fill: the
+    /// same evictions in the same order, bytes, objects and hits, under
+    /// every policy, with fills that overflow the cache during the
+    /// warm-up and objects pinned before it.
+    #[test]
+    fn warmed_cache_matches_reference_model(
+        policy in policies(),
+        capacity in prop_oneof![4_000u64..60_000, 60_000u64..600_000],
+        warm in warm_strategy(),
+        pinned in proptest::collection::vec((any::<usize>(), 1u64..12_000), 0..4),
+        ops in proptest::collection::vec(warm_op_strategy(), 0..200)
+    ) {
+        check_warmed_against_model(policy, capacity, &warm, &pinned, ops)?;
+    }
 }
 
 proptest! {

@@ -109,6 +109,9 @@
 //!                                        job reaches a terminal state)
 //!          --follow                     (status <id>: stream heartbeats)
 //!
+//! --help or -h prints the usage. An unknown option or a stray positional
+//! argument is an error: nothing runs.
+//!
 //! All file outputs are atomic: written to a same-directory staging file,
 //! fsynced, then renamed into place, so a crash never leaves a torn file.
 //! ```
@@ -158,6 +161,8 @@ struct Opts {
     retries: u32,
     wait: bool,
     follow: bool,
+    help: bool,
+    /// Positional arguments after the command.
     rest: Vec<String>,
 }
 
@@ -202,6 +207,7 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         retries: 0,
         wait: false,
         follow: false,
+        help: false,
         rest: Vec::new(),
     };
     let mut it = args.iter();
@@ -404,6 +410,10 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             "--follow" => {
                 opts.follow = true;
             }
+            "--help" | "-h" => {
+                opts.help = true;
+            }
+            other if other.starts_with('-') => return Err(format!("unknown option '{other}'")),
             other => opts.rest.push(other.to_owned()),
         }
     }
@@ -473,17 +483,43 @@ fn usage() -> &'static str {
      [--trace-out FILE] [--summary-shards N] [--faults FILE] [--storage-faults FILE] \
      [--state DIR] [--addr HOST:PORT] [--workers N] [--queue-depth N] \
      [--max-job-sessions N] [--max-inflight-sessions N] [--max-job-threads N] \
-     [--chaos-kill-after N] [--priority N] [--label S] [--retries N] [--wait] [--follow]\n\
+     [--chaos-kill-after N] [--priority N] [--label S] [--retries N] [--wait] [--follow] \
+     [--help]\n\
      (sweep: --seeds sets the seed count and checkpoints per-seed results under \
      --out; --resume DIR continues an interrupted sweep from its manifest. \
      serve runs the crash-recoverable job daemon over --state; submit/status/\
      cancel/shutdown talk to it through DIR/endpoint.json.)"
 }
 
+/// Every command, with how many positional arguments it takes at most.
+const COMMANDS: [(&str, usize); 13] = [
+    ("list", 0),
+    ("run", 0),
+    ("experiment", 1),
+    ("ablation", 0),
+    ("recurrence", 0),
+    ("trace", 0),
+    ("replay", 1),
+    ("sweep", 0),
+    ("serve", 0),
+    ("submit", 0),
+    ("status", 1),
+    ("cancel", 1),
+    ("shutdown", 0),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().cloned() else {
         eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    if cmd == "--help" || cmd == "-h" {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, positionals)) = COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        eprintln!("error: unknown command '{cmd}'\n{}", usage());
         return ExitCode::FAILURE;
     };
     let opts = match parse(&args[1..]) {
@@ -493,6 +529,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if opts.help {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    if let Some(extra) = opts.rest.get(positionals) {
+        eprintln!("error: unexpected argument '{extra}'\n{}", usage());
+        return ExitCode::FAILURE;
+    }
 
     // Route every persistence path through the fault-injecting storage
     // layer before any command touches disk. Inert unless the flag is
@@ -530,7 +574,7 @@ fn main() -> ExitCode {
         "status" => cmd_status(&opts),
         "cancel" => cmd_cancel(&opts),
         "shutdown" => cmd_shutdown(&opts),
-        other => Err(format!("unknown command '{other}'\n{}", usage())),
+        other => unreachable!("'{other}' is not in COMMANDS"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -827,7 +827,7 @@ impl World {
         };
 
         let mut fleet = CdnFleet::new(cfg.fleet.clone(), seed);
-        fleet.warm_parallel(&catalog, cfg.threads.max(1));
+        fleet.warm(&catalog);
         fleet.install_faults(&cfg.faults);
 
         let sessions = specs
@@ -1290,6 +1290,10 @@ where
                         completed.then_some((out, stats, sub))
                     }));
                     cell.finish();
+                    // The shard's servers serve nothing more: free what
+                    // traffic stored in their caches now, not when the
+                    // whole fleet drops.
+                    shard.retire_caches();
                     let entry: ShardResult<S, O> = match result {
                         Ok(Some((out, stats, sub))) => {
                             let run = ShardRun {

@@ -8,66 +8,17 @@
 //! several runs and at the CLI's default, and in RAM at two session counts,
 //! whose difference bounds what the sweep holds per session.
 //!
-//! The run is deterministic and the allocator sees every allocation of
-//! the process, so the count is exact and repeats from run to run. It
-//! lives in its own test binary with one test, so no other test's
-//! allocations land in it.
+//! The run is deterministic and the allocator ([`counting`]) sees every
+//! allocation of the process, so the count is exact and repeats from run
+//! to run. It lives in its own test binary with one test, so no other
+//! test's allocations land in it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use streamlab::{SimulationConfig, SpillConfig};
 
-/// [`System`] plus live and peak byte counters.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call forwards to `System` with the caller's layout; the
-// counters never affect what is allocated.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+mod counting;
+use counting::{LIVE, PEAK};
 
 /// Peak live heap of the seed above the live heap before it started.
 ///
@@ -78,9 +29,12 @@ static ALLOC: Counting = Counting;
 /// buffer peak at 35,219,756 bytes. Arenas that grow by need, to 128 rows
 /// of capacity at this threshold, instead of reserving 97 rows up front,
 /// peaked at 35,226,400. Folding each session as it ends, with nothing
-/// appended, sealed or spilled, peaks at 35,138,583. Most of it is the
-/// warmed fleet.
-const PEAK_BYTES_MAX: usize = 35_800_000;
+/// appended, sealed or spilled, peaked at 35,138,583 (bound 35,800,000),
+/// most of it the warmed fleet. Keeping each tier's warm-up as an
+/// implicit run, which traffic materializes on touch, peaked at
+/// 1,472,190; freeing each shard's caches when its loop ends as well
+/// peaks at 702,797.
+const PEAK_BYTES_MAX: usize = 800_000;
 
 /// The same peak at the CLI's default `--spill-threshold`
 /// ([`SpillConfig::DEFAULT_THRESHOLD`]), which no shard of a tiny seed
@@ -88,15 +42,21 @@ const PEAK_BYTES_MAX: usize = 35_800_000;
 /// Reserving the threshold's rows in both arenas of every shard sink up
 /// front peaked at 88,892,790 bytes; arenas that grow to what the shard
 /// holds peaked at 37,283,197 (bound 38,000,000). A sweep no longer
-/// spills, so the threshold is ignored: 35,137,687.
-const DEFAULT_THRESHOLD_PEAK_BYTES_MAX: usize = 35_800_000;
+/// spills, so the threshold is ignored: 35,137,687 (bound 35,800,000),
+/// then 1,471,902 with implicit warm-ups and 702,801 with shard caches
+/// freed at the end of their loops.
+const DEFAULT_THRESHOLD_PEAK_BYTES_MAX: usize = 800_000;
 
 /// The in-RAM seed's heap peak grows by at most this many bytes per
 /// session, measured between 600 and 2,400 sessions. Appending every
 /// chunk to the shard sinks, joining them and folding the stream grew it
-/// by 8,536 bytes a session; folding each session as it ends grows it by
-/// 427.
-const PEAK_BYTES_PER_SESSION_MAX: usize = 1_000;
+/// by 8,536 bytes a session; folding each session as it ends grew it by
+/// 427 (bound 1,000). An implicit warm-up stores an object once traffic
+/// touches it, about 24 objects a session here, so with every shard's
+/// caches kept to the end of the engine the peak grew by 1,786 bytes a
+/// session; freeing each shard's caches when its loop ends leaves one
+/// shard's at a time: 679.
+const PEAK_BYTES_PER_SESSION_MAX: usize = 800;
 
 /// Run the one-thread tiny seed-7 sweep at `sessions` sessions (the
 /// preset's when `None`), with `spill` as its spill config, and return

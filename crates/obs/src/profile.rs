@@ -72,8 +72,10 @@ pub struct RunProfile {
     /// Worker threads requested.
     pub threads: u64,
     /// World generation, fleet warm-up and session placement,
-    /// milliseconds. Session runtimes are built as sessions arrive, so
-    /// their construction counts in `event_loop_ms`.
+    /// milliseconds. Warm-up only lays out each cache tier's fill order,
+    /// a few counters per assigned video: a warm object is stored when
+    /// traffic first touches it. That, like building each session's
+    /// runtime as the session arrives, counts in `event_loop_ms`.
     pub setup_ms: f64,
     /// Event loop(s), wall milliseconds (for the sharded engine this is
     /// the span from first shard start to last shard finish).
