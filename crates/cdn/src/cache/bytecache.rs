@@ -446,7 +446,7 @@ impl ByteCache {
                 pinned, self.index.len,
                 "unpinned entries before the warm-up"
             );
-            self.run = WarmRun::new(rungs);
+            self.run = WarmRun::new(rungs, videos.len());
         }
         for &(video, chunks) in videos {
             if implicit {

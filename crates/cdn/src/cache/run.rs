@@ -38,10 +38,12 @@ pub(super) struct WarmRun {
 }
 
 impl WarmRun {
-    /// An empty run over `rungs`, in the order each block warms them.
-    pub(super) fn new(rungs: &[u32]) -> Self {
+    /// An empty run over `rungs`, in the order each block warms them,
+    /// with room for the blocks of `videos` videos.
+    pub(super) fn new(rungs: &[u32], videos: usize) -> Self {
         WarmRun {
             rungs: rungs.to_vec(),
+            blocks: Vec::with_capacity(videos),
             ..WarmRun::default()
         }
     }

@@ -491,21 +491,25 @@ fn usage() -> &'static str {
      cancel/shutdown talk to it through DIR/endpoint.json.)"
 }
 
-/// Every command, with how many positional arguments it takes at most.
-const COMMANDS: [(&str, usize); 13] = [
-    ("list", 0),
-    ("run", 0),
-    ("experiment", 1),
-    ("ablation", 0),
-    ("recurrence", 0),
-    ("trace", 0),
-    ("replay", 1),
-    ("sweep", 0),
-    ("serve", 0),
-    ("submit", 0),
-    ("status", 1),
-    ("cancel", 1),
-    ("shutdown", 0),
+/// A command's entry point.
+type Handler = fn(&Opts) -> Result<(), String>;
+
+/// Every command: its name, how many positional arguments it takes at
+/// most, and its entry point.
+const COMMANDS: [(&str, usize, Handler); 13] = [
+    ("list", 0, cmd_list),
+    ("run", 0, cmd_run),
+    ("experiment", 1, cmd_experiment),
+    ("ablation", 0, cmd_ablation),
+    ("recurrence", 0, cmd_recurrence),
+    ("trace", 0, cmd_trace),
+    ("replay", 1, cmd_replay),
+    ("sweep", 0, cmd_sweep),
+    ("serve", 0, cmd_serve),
+    ("submit", 0, cmd_submit),
+    ("status", 1, cmd_status),
+    ("cancel", 1, cmd_cancel),
+    ("shutdown", 0, cmd_shutdown),
 ];
 
 fn main() -> ExitCode {
@@ -518,7 +522,7 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let Some(&(_, positionals)) = COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+    let Some(&(_, positionals, handler)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
         eprintln!("error: unknown command '{cmd}'\n{}", usage());
         return ExitCode::FAILURE;
     };
@@ -555,27 +559,7 @@ fn main() -> ExitCode {
         ));
     }
 
-    let result = match cmd.as_str() {
-        "list" => {
-            for id in ExperimentId::all() {
-                println!("{:<8} {}", format!("{id:?}"), id.title());
-            }
-            Ok(())
-        }
-        "run" => cmd_run(&opts),
-        "experiment" => cmd_experiment(&opts),
-        "ablation" => cmd_ablation(&opts),
-        "recurrence" => cmd_recurrence(&opts),
-        "trace" => cmd_trace(&opts),
-        "replay" => cmd_replay(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "serve" => cmd_serve(&opts),
-        "submit" => cmd_submit(&opts),
-        "status" => cmd_status(&opts),
-        "cancel" => cmd_cancel(&opts),
-        "shutdown" => cmd_shutdown(&opts),
-        other => unreachable!("'{other}' is not in COMMANDS"),
-    };
+    let result = handler(&opts);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -583,6 +567,13 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+fn cmd_list(_: &Opts) -> Result<(), String> {
+    for id in ExperimentId::all() {
+        println!("{:<8} {}", format!("{id:?}"), id.title());
+    }
+    Ok(())
 }
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
