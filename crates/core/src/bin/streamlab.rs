@@ -466,6 +466,20 @@ fn warn_partial(scope: &str, errors: &[streamlab::ShardError]) {
     }
 }
 
+/// Print this process's own peak resident set (`VmHWM` in
+/// `/proc/self/status`) as one stderr line; print nothing where `/proc` is
+/// absent. A parent's `wait4` cannot give this figure: a child's
+/// `ru_maxrss` starts at the high-water mark of the process that forked
+/// it.
+fn report_peak_rss() {
+    let Ok(status) = fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    if let Some(peak) = status.lines().find_map(|l| l.strip_prefix("VmHWM:")) {
+        eprintln!("peak RSS (VmHWM): {}", peak.trim());
+    }
+}
+
 fn find_experiment(name: &str) -> Option<ExperimentId> {
     ExperimentId::all()
         .iter()
@@ -686,6 +700,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             path.display()
         );
     }
+    report_peak_rss();
     Ok(())
 }
 
@@ -785,6 +800,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&result.summary).map_err(|e| e.to_string())?;
     atomic_write(&summary_path, (json + "\n").as_bytes()).map_err(at(&summary_path))?;
     println!("{}", streamlab::sweep::render(&result.summary));
+    report_peak_rss();
     Ok(())
 }
 

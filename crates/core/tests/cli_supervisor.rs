@@ -2,8 +2,9 @@
 //! SIGKILL-equivalent abort mid-sweep resumes to byte-identical output at
 //! any thread count, the shard watchdog turns a wedged shard into partial
 //! results instead of a hang, a sweep that loses a shard says so per seed,
-//! `--audit` verifies a finished run (faulted ones too), and the removed
-//! `sweep --days` alias fails fast pointing at `--seeds`.
+//! `--audit` verifies a finished run (faulted ones too), the removed
+//! `sweep --days` alias fails fast pointing at `--seeds`, and `run` and
+//! `sweep` report their own peak RSS.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -281,5 +282,42 @@ fn audited_run_reports_all_invariants_hold() {
         err.contains("invariants checked, all hold"),
         "stderr:\n{err}"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `run` and `sweep` end by printing their own peak RSS, which CI's memory
+/// caps read: a launcher's `wait4` reports at least its own peak instead.
+#[test]
+fn run_and_sweep_report_their_own_peak_rss() {
+    if !Path::new("/proc/self/status").exists() {
+        return; // Nothing to report where `/proc` is absent.
+    }
+    let dir = scratch("peak-rss");
+    for (cmd, extra) in [("run", &[][..]), ("sweep", &["--seeds", "1"][..])] {
+        let out_dir = dir.join(cmd);
+        let args = [
+            &[
+                cmd,
+                "--scale",
+                "tiny",
+                "--sessions",
+                "20",
+                "--out",
+                out_dir.to_str().unwrap(),
+            ][..],
+            extra,
+        ]
+        .concat();
+        let out = run(&args);
+        let err = stderr_of(&out);
+        assert!(out.status.success(), "{cmd}: stderr:\n{err}");
+        let peaks: Vec<u64> = err
+            .lines()
+            .filter_map(|l| l.strip_prefix("peak RSS (VmHWM): "))
+            .map(|kb| kb.strip_suffix(" kB").unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(peaks.len(), 1, "{cmd}: stderr:\n{err}");
+        assert!(peaks[0] > 0, "{cmd}: stderr:\n{err}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -3,14 +3,151 @@
 //!
 //! CSV writing is implemented by hand — the fields are all numeric or
 //! controlled identifiers, except the organization name, which is quoted
-//! and escaped per RFC 4180.
+//! and escaped per RFC 4180. Each row is built in one reused buffer and
+//! handed to the writer with one `write_all`. Integers, booleans and
+//! labels are copied in directly. Every float goes through one formatter
+//! that writes exactly the bytes `format!("{v:.p$}")` writes, for the
+//! precisions the files use (`p` ≤ 6). When `v` is finite and
+//! non-negative, and its scaled value `s = v·10^p` is below 2^52 and
+//! farther than `s·ε` from a half-integer, the product's one rounding
+//! error cannot carry `s` across a rounding boundary. So `round(s)`,
+//! printed with its decimal point `p` digits from the right, is the
+//! correctly rounded decimal `format!` prints. Everything else (ties and
+//! near-ties, NaN, ±inf, −0.0, negative and huge values) is written by
+//! `format!` itself, so no byte depends on which path a value took
+//! (DESIGN §13, "Exact fixed-precision export").
 
 use crate::dataset::Dataset;
+use crate::records::CacheOutcome;
+use std::fmt;
 use std::io::{self, Write};
 
-/// Quote a CSV field per RFC 4180 (always quoted; inner quotes doubled).
-fn csv_quote(s: &str) -> String {
-    format!("\"{}\"", s.replace('"', "\"\""))
+/// `10^p` for the precisions `Row::fixed` takes, 0 to 6; exact in `f64`.
+const POW10: [f64; 7] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6];
+
+/// Scaled values from 2^52 up are left to `format!`: there an `f64` has
+/// no fraction left, and the product may have overflowed.
+const SCALED_LIMIT: f64 = (1u64 << 52) as f64;
+
+/// The integer whose digits `format!("{v:.prec$}")` prints (decimal point
+/// `prec` digits from the right), when one `f64` product settles it.
+///
+/// `s = v·10^prec` is the exact product rounded once, so it lies within
+/// half an ulp of it, and half an ulp of a normal `s` is at most `s·ε/2`
+/// (a subnormal `s` lies far below the first half-integer). If `s` is
+/// farther than `s·ε` from the half-integer nearest it, no rounding
+/// boundary lies between `s` and the exact product, and both round to the
+/// same integer. `None` sends the value to `format!`: ties and near-ties,
+/// NaN, ±inf, −0.0, negative values and `s ≥ 2^52`.
+fn fixed_digits(v: f64, prec: usize) -> Option<u64> {
+    if !v.is_finite() || v.is_sign_negative() {
+        return None;
+    }
+    let s = v * POW10[prec];
+    if s >= SCALED_LIMIT {
+        return None;
+    }
+    let whole = s.floor();
+    let frac = s - whole;
+    if (frac - 0.5).abs() <= s * f64::EPSILON {
+        return None;
+    }
+    Some(whole as u64 + u64::from(frac > 0.5))
+}
+
+/// Append `n` in decimal with a point `point` digits from the right and
+/// at least one digit before it (`point` = 0: a plain integer).
+fn push_decimal(out: &mut Vec<u8>, mut n: u64, point: usize) {
+    // Room for u64::MAX's 20 digits, or for 17 digits and the point.
+    let mut buf = [0u8; 24];
+    let mut i = buf.len();
+    for _ in 0..point {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    if point > 0 {
+        i -= 1;
+        buf[i] = b'.';
+    }
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// One CSV row in a buffer reused from row to row. Every field is
+/// appended with a trailing comma; [`Row::end`] turns the last one into
+/// the newline. Writing into a `Vec` cannot fail, so `write!`'s result is
+/// dropped.
+#[derive(Default)]
+struct Row(Vec<u8>);
+
+impl Row {
+    fn clear(&mut self) -> &mut Self {
+        self.0.clear();
+        self
+    }
+
+    fn int(&mut self, n: u64) -> &mut Self {
+        push_decimal(&mut self.0, n, 0);
+        self.0.push(b',');
+        self
+    }
+
+    /// `v` exactly as `format!("{v:.prec$}")` writes it.
+    fn fixed(&mut self, v: f64, prec: usize) -> &mut Self {
+        match fixed_digits(v, prec) {
+            Some(n) => push_decimal(&mut self.0, n, prec),
+            None => {
+                let _ = write!(self.0, "{v:.prec$}");
+            }
+        }
+        self.0.push(b',');
+        self
+    }
+
+    fn text(&mut self, s: &str) -> &mut Self {
+        self.0.extend_from_slice(s.as_bytes());
+        self.0.push(b',');
+        self
+    }
+
+    fn flag(&mut self, b: bool) -> &mut Self {
+        self.text(if b { "true" } else { "false" })
+    }
+
+    /// A label as `{:?}` writes it.
+    fn debug(&mut self, v: impl fmt::Debug) -> &mut Self {
+        let _ = write!(self.0, "{v:?},");
+        self
+    }
+
+    /// A field quoted per RFC 4180: always quoted, inner quotes doubled.
+    fn quoted(&mut self, s: &str) -> &mut Self {
+        self.0.push(b'"');
+        for &b in s.as_bytes() {
+            if b == b'"' {
+                self.0.push(b'"');
+            }
+            self.0.push(b);
+        }
+        self.0.extend_from_slice(b"\",");
+        self
+    }
+
+    /// The finished row, newline-terminated.
+    fn end(&mut self) -> &[u8] {
+        if let Some(last) = self.0.last_mut() {
+            *last = b'\n';
+        }
+        &self.0
+    }
 }
 
 /// Header of the per-chunk CSV.
@@ -21,48 +158,47 @@ srtt_ms,rttvar_ms,cwnd,true_dds_ms,true_rtt0_ms,true_transient";
 
 /// Write one row per chunk.
 pub fn write_chunks_csv<W: Write>(ds: &Dataset, mut w: W) -> io::Result<()> {
-    writeln!(w, "{CHUNK_CSV_HEADER}")?;
+    let mut row = Row::default();
+    w.write_all(row.text(CHUNK_CSV_HEADER).end())?;
     for (_, c) in ds.chunks() {
         let p = &c.player;
         let d = &c.cdn;
         let tcp = d.last_tcp();
-        writeln!(
-            w,
-            "{},{},{},{:.6},{:.3},{:.3},{:.3},{:.4},{},{:.3},{},{:.2},{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{},{:.3},{:.3},{},{:.3},{:.3},{}",
-            p.session.raw(),
-            p.chunk.raw(),
-            p.bitrate_kbps,
-            p.requested_at.as_secs_f64(),
-            p.d_fb.as_millis_f64(),
-            p.d_lb.as_millis_f64(),
-            p.chunk_secs,
-            p.perf_score(),
-            p.buf_count,
-            p.buf_dur.as_secs_f64(),
-            p.visible,
-            p.avg_fps,
-            p.dropped_frames,
-            p.frames,
-            d.d_wait.as_millis_f64(),
-            d.d_open.as_millis_f64(),
-            d.d_read.as_millis_f64(),
-            d.d_backend.as_millis_f64(),
-            match d.cache {
-                crate::records::CacheOutcome::RamHit => "ram",
-                crate::records::CacheOutcome::DiskHit => "disk",
-                crate::records::CacheOutcome::Miss => "miss",
-            },
-            d.retry_fired,
-            d.size_bytes,
-            d.segments,
-            d.retx_segments,
-            tcp.map(|t| t.srtt.as_millis_f64()).unwrap_or(f64::NAN),
-            tcp.map(|t| t.rttvar.as_millis_f64()).unwrap_or(f64::NAN),
-            tcp.map(|t| t.cwnd).unwrap_or(0),
-            p.truth.dds.as_millis_f64(),
-            p.truth.rtt0.as_millis_f64(),
-            p.truth.transient_buffered,
-        )?;
+        row.clear()
+            .int(p.session.raw())
+            .int(p.chunk.raw().into())
+            .int(p.bitrate_kbps.into())
+            .fixed(p.requested_at.as_secs_f64(), 6)
+            .fixed(p.d_fb.as_millis_f64(), 3)
+            .fixed(p.d_lb.as_millis_f64(), 3)
+            .fixed(p.chunk_secs, 3)
+            .fixed(p.perf_score(), 4)
+            .int(p.buf_count.into())
+            .fixed(p.buf_dur.as_secs_f64(), 3)
+            .flag(p.visible)
+            .fixed(p.avg_fps, 2)
+            .int(p.dropped_frames.into())
+            .int(p.frames.into())
+            .fixed(d.d_wait.as_millis_f64(), 3)
+            .fixed(d.d_open.as_millis_f64(), 3)
+            .fixed(d.d_read.as_millis_f64(), 3)
+            .fixed(d.d_backend.as_millis_f64(), 3)
+            .text(match d.cache {
+                CacheOutcome::RamHit => "ram",
+                CacheOutcome::DiskHit => "disk",
+                CacheOutcome::Miss => "miss",
+            })
+            .flag(d.retry_fired)
+            .int(d.size_bytes)
+            .int(d.segments.into())
+            .int(d.retx_segments.into())
+            .fixed(tcp.map(|t| t.srtt.as_millis_f64()).unwrap_or(f64::NAN), 3)
+            .fixed(tcp.map(|t| t.rttvar.as_millis_f64()).unwrap_or(f64::NAN), 3)
+            .int(tcp.map(|t| t.cwnd).unwrap_or(0).into())
+            .fixed(p.truth.dds.as_millis_f64(), 3)
+            .fixed(p.truth.rtt0.as_millis_f64(), 3)
+            .flag(p.truth.transient_buffered);
+        w.write_all(row.end())?;
     }
     Ok(())
 }
@@ -74,36 +210,35 @@ retx_rate,loss_free,rebuffer_rate_pct,gpu,visible,proxied";
 
 /// Write one row per session.
 pub fn write_sessions_csv<W: Write>(ds: &Dataset, mut w: W) -> io::Result<()> {
-    writeln!(w, "{SESSION_CSV_HEADER}")?;
+    let mut row = Row::default();
+    w.write_all(row.text(SESSION_CSV_HEADER).end())?;
     for s in &ds.sessions {
         let m = &s.meta;
-        writeln!(
-            w,
-            "{},{},{},{:.1},{},{},{},{:?},{:?},{},{},{},{:.1},{:.3},{:.3},{},{:.0},{:.5},{},{:.3},{},{},{}",
-            m.session.raw(),
-            m.prefix.raw(),
-            m.video.raw(),
-            m.video_secs,
-            m.os.label(),
-            m.browser.label(),
-            csv_quote(&m.org),
-            m.org_kind,
-            m.access,
-            m.region.is_us(),
-            m.pop.raw(),
-            m.server.raw(),
-            m.distance_km,
-            m.arrival.as_secs_f64(),
-            m.startup_delay_s,
-            s.chunks.len(),
-            s.avg_bitrate_kbps(),
-            s.retx_rate(),
-            s.loss_free(),
-            s.rebuffer_rate_pct(),
-            m.gpu,
-            m.visible,
-            m.proxied,
-        )?;
+        row.clear()
+            .int(m.session.raw())
+            .int(m.prefix.raw())
+            .int(m.video.raw())
+            .fixed(m.video_secs, 1)
+            .text(m.os.label())
+            .text(m.browser.label())
+            .quoted(&m.org)
+            .debug(m.org_kind)
+            .debug(m.access)
+            .flag(m.region.is_us())
+            .int(m.pop.raw())
+            .int(m.server.raw())
+            .fixed(m.distance_km, 1)
+            .fixed(m.arrival.as_secs_f64(), 3)
+            .fixed(m.startup_delay_s, 3)
+            .int(s.chunks.len() as u64)
+            .fixed(s.avg_bitrate_kbps(), 0)
+            .fixed(s.retx_rate(), 5)
+            .flag(s.loss_free())
+            .fixed(s.rebuffer_rate_pct(), 3)
+            .flag(m.gpu)
+            .flag(m.visible)
+            .flag(m.proxied);
+        w.write_all(row.end())?;
     }
     Ok(())
 }
@@ -214,6 +349,90 @@ mod tests {
         assert_eq!(text.lines().count(), 1 + ds.sessions.len());
         // RFC 4180: embedded quotes doubled, field quoted.
         assert!(text.contains("\"Org \"\"quoted\"\", Inc 0\""));
+    }
+
+    /// `Row::fixed` against `format!` on every input class the fast path
+    /// must get right or refuse.
+    #[test]
+    fn fixed_matches_format_at_every_precision() {
+        // SplitMix64: a fixed, dependency-free stream of test inputs.
+        let mut state = 0x5EED_5EED_5EED_5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let below = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let above = |v: f64| f64::from_bits(v.to_bits() + 1);
+
+        let mut shared = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -1.5,
+            -1e-9,
+            1.0,
+            0.5,
+        ];
+        for _ in 0..20_000 {
+            shared.push(f64::from_bits(next()));
+        }
+        // The shapes the exporters print: nanosecond counts as ms and s,
+        // from sub-microsecond delays to a multi-day clock.
+        for _ in 0..20_000 {
+            let ns = next() % 10u64.pow(1 + (next() % 15) as u32);
+            shared.push(ns as f64 / 1e6);
+            shared.push(ns as f64 / 1e9);
+        }
+        let mut fast = 0usize;
+        let mut checked = 0usize;
+        let mut mismatches = Vec::new();
+        let mut row = Row::default();
+        for (prec, &scale) in POW10.iter().enumerate() {
+            let mut values = shared.clone();
+            for k in 0..2_000u64 {
+                // Decimal near-ties (k + ½)/10^p and their neighbours.
+                let near = (k as f64 + 0.5) / scale;
+                values.extend([near, below(near), above(near)]);
+                // Exact binary ties: odd multiples of 2^-(p+1) end in a 5
+                // at decimal place p + 1.
+                let exact = (2 * k + 1) as f64 / (1u64 << (prec + 1)) as f64;
+                values.extend([exact, below(exact), above(exact)]);
+                let big = (next() % (1 << 20)) as f64 + exact;
+                values.extend([big, below(big), above(big)]);
+            }
+            // Where the fast path stops.
+            let limit = SCALED_LIMIT / scale;
+            values.extend([limit, below(limit), above(limit), 2.0 * limit, 1e300]);
+
+            for &v in &values {
+                row.clear().fixed(v, prec);
+                let ours = &row.0[..row.0.len() - 1];
+                let want = format!("{v:.prec$}");
+                checked += 1;
+                fast += usize::from(fixed_digits(v, prec).is_some());
+                if ours != want.as_bytes() {
+                    mismatches.push((v, prec, String::from_utf8_lossy(ours).into_owned(), want));
+                }
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "{} of {checked} differ from format!, first: {:?}",
+            mismatches.len(),
+            &mismatches[..mismatches.len().min(5)]
+        );
+        // Most inputs must take the fast path, or the test proves nothing.
+        assert!(fast * 2 > checked, "{fast} of {checked} on the fast path");
     }
 
     #[test]
