@@ -3,9 +3,10 @@
 //! `streamlab run` streams `chunks.csv` and `sessions.csv` through
 //! `atomic_write_with`, whose writer buffers the staging file. The files
 //! it publishes must hold exactly the bytes the exporters produce, across
-//! the many buffer flushes a real export takes. And the exporters, which
-//! build each row by hand, must write exactly what the `writeln!` writers
-//! in [`reference`] write: on simulated runs, and on hand-built records
+//! the many buffer flushes a real export takes. And the exporters, whose
+//! floats skip `format!`'s exact conversion where one product settles
+//! them, must write exactly what the plain `writeln!` writers in
+//! [`reference`] write: on simulated runs, and on hand-built records
 //! that reach the values a run rarely prints (NaN, infinity, quoted
 //! organization names).
 
@@ -26,8 +27,8 @@ use streamlab::workload::{
 };
 use streamlab::{RunOutput, Simulation, SimulationConfig};
 
-/// The exporters as they were written with `writeln!` and `format!`: the
-/// definition of the CSV bytes the hand-built rows must reproduce.
+/// The exporters with every float printed by `format!` itself: the
+/// definition of the CSV bytes the exporters must reproduce.
 mod reference {
     use std::io::{self, Write};
     use streamlab::telemetry::export::{CHUNK_CSV_HEADER, SESSION_CSV_HEADER};

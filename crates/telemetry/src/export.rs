@@ -3,26 +3,25 @@
 //!
 //! CSV writing is implemented by hand — the fields are all numeric or
 //! controlled identifiers, except the organization name, which is quoted
-//! and escaped per RFC 4180. Each row is built in one reused buffer and
-//! handed to the writer with one `write_all`. Integers, booleans and
-//! labels are copied in directly. Every float goes through one formatter
-//! that writes exactly the bytes `format!("{v:.p$}")` writes, for the
-//! precisions the files use (`p` ≤ 6). When `v` is finite and
-//! non-negative, and its scaled value `s = v·10^p` is below 2^52 and
-//! farther than `s·ε` from a half-integer, the product's one rounding
-//! error cannot carry `s` across a rounding boundary. So `round(s)`,
-//! printed with its decimal point `p` digits from the right, is the
-//! correctly rounded decimal `format!` prints. Everything else (ties and
-//! near-ties, NaN, ±inf, −0.0, negative and huge values) is written by
-//! `format!` itself, so no byte depends on which path a value took
-//! (DESIGN §13, "Exact fixed-precision export").
+//! and escaped per RFC 4180. Every float is wrapped in `Fixed`, which
+//! writes exactly the bytes `{:.p$}` writes for the precisions the files
+//! use (`p` ≤ 6) without `format!`'s exact decimal conversion whenever
+//! one product settles the digits. When `v` is finite and non-negative,
+//! and its scaled value `s = v·10^p` is below 2^52 and farther than
+//! `s·ε` from a half-integer, the product's one rounding error cannot
+//! carry `s` across a rounding boundary. So `round(s)`, printed with its
+//! decimal point `p` digits from the right, is the correctly rounded
+//! decimal `format!` prints. Everything else (ties and near-ties, NaN,
+//! ±inf, −0.0, negative and huge values) is written by `f64`'s own
+//! `Display`, so no byte depends on which path a value took (DESIGN §13,
+//! "Exact fixed-precision export").
 
 use crate::dataset::Dataset;
-use crate::records::CacheOutcome;
 use std::fmt;
 use std::io::{self, Write};
 
-/// `10^p` for the precisions `Row::fixed` takes, 0 to 6; exact in `f64`.
+/// `10^p` for the precisions [`Fixed`] settles itself, 0 to 6; exact in
+/// `f64`.
 const POW10: [f64; 7] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6];
 
 /// Scaled values from 2^52 up are left to `format!`: there an `f64` has
@@ -55,99 +54,49 @@ fn fixed_digits(v: f64, prec: usize) -> Option<u64> {
     Some(whole as u64 + u64::from(frac > 0.5))
 }
 
-/// Append `n` in decimal with a point `point` digits from the right and
-/// at least one digit before it (`point` = 0: a plain integer).
-fn push_decimal(out: &mut Vec<u8>, mut n: u64, point: usize) {
-    // Room for u64::MAX's 20 digits, or for 17 digits and the point.
-    let mut buf = [0u8; 24];
-    let mut i = buf.len();
-    for _ in 0..point {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-    }
-    if point > 0 {
-        i -= 1;
-        buf[i] = b'.';
-    }
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
+/// A float that prints exactly as the bare `f64` prints under a
+/// `{:.p$}` spec: through [`fixed_digits`] when `p` ≤ 6 and the digits
+/// are settled, and through `f64`'s `Display` otherwise. Only the
+/// spec's precision is read; the exporters set no width or sign flag.
+struct Fixed(f64);
+
+impl fmt::Display for Fixed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let settled = f
+            .precision()
+            .filter(|&p| p < POW10.len())
+            .and_then(|p| Some((fixed_digits(self.0, p)?, p)));
+        let Some((mut n, point)) = settled else {
+            return fmt::Display::fmt(&self.0, f);
+        };
+        // Filled from the right: at most 16 digits (n < 2^52) and the
+        // point.
+        let mut buf = [0u8; 24];
+        let mut i = buf.len();
+        for _ in 0..point {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
         }
+        if point > 0 {
+            i -= 1;
+            buf[i] = b'.';
+        }
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        f.write_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"))
     }
-    out.extend_from_slice(&buf[i..]);
 }
 
-/// One CSV row in a buffer reused from row to row. Every field is
-/// appended with a trailing comma; [`Row::end`] turns the last one into
-/// the newline. Writing into a `Vec` cannot fail, so `write!`'s result is
-/// dropped.
-#[derive(Default)]
-struct Row(Vec<u8>);
-
-impl Row {
-    fn clear(&mut self) -> &mut Self {
-        self.0.clear();
-        self
-    }
-
-    fn int(&mut self, n: u64) -> &mut Self {
-        push_decimal(&mut self.0, n, 0);
-        self.0.push(b',');
-        self
-    }
-
-    /// `v` exactly as `format!("{v:.prec$}")` writes it.
-    fn fixed(&mut self, v: f64, prec: usize) -> &mut Self {
-        match fixed_digits(v, prec) {
-            Some(n) => push_decimal(&mut self.0, n, prec),
-            None => {
-                let _ = write!(self.0, "{v:.prec$}");
-            }
-        }
-        self.0.push(b',');
-        self
-    }
-
-    fn text(&mut self, s: &str) -> &mut Self {
-        self.0.extend_from_slice(s.as_bytes());
-        self.0.push(b',');
-        self
-    }
-
-    fn flag(&mut self, b: bool) -> &mut Self {
-        self.text(if b { "true" } else { "false" })
-    }
-
-    /// A label as `{:?}` writes it.
-    fn debug(&mut self, v: impl fmt::Debug) -> &mut Self {
-        let _ = write!(self.0, "{v:?},");
-        self
-    }
-
-    /// A field quoted per RFC 4180: always quoted, inner quotes doubled.
-    fn quoted(&mut self, s: &str) -> &mut Self {
-        self.0.push(b'"');
-        for &b in s.as_bytes() {
-            if b == b'"' {
-                self.0.push(b'"');
-            }
-            self.0.push(b);
-        }
-        self.0.extend_from_slice(b"\",");
-        self
-    }
-
-    /// The finished row, newline-terminated.
-    fn end(&mut self) -> &[u8] {
-        if let Some(last) = self.0.last_mut() {
-            *last = b'\n';
-        }
-        &self.0
-    }
+/// Quote a CSV field per RFC 4180 (always quoted; inner quotes doubled).
+fn csv_quote(s: &str) -> String {
+    format!("\"{}\"", s.replace('"', "\"\""))
 }
 
 /// Header of the per-chunk CSV.
@@ -158,47 +107,48 @@ srtt_ms,rttvar_ms,cwnd,true_dds_ms,true_rtt0_ms,true_transient";
 
 /// Write one row per chunk.
 pub fn write_chunks_csv<W: Write>(ds: &Dataset, mut w: W) -> io::Result<()> {
-    let mut row = Row::default();
-    w.write_all(row.text(CHUNK_CSV_HEADER).end())?;
+    writeln!(w, "{CHUNK_CSV_HEADER}")?;
     for (_, c) in ds.chunks() {
         let p = &c.player;
         let d = &c.cdn;
         let tcp = d.last_tcp();
-        row.clear()
-            .int(p.session.raw())
-            .int(p.chunk.raw().into())
-            .int(p.bitrate_kbps.into())
-            .fixed(p.requested_at.as_secs_f64(), 6)
-            .fixed(p.d_fb.as_millis_f64(), 3)
-            .fixed(p.d_lb.as_millis_f64(), 3)
-            .fixed(p.chunk_secs, 3)
-            .fixed(p.perf_score(), 4)
-            .int(p.buf_count.into())
-            .fixed(p.buf_dur.as_secs_f64(), 3)
-            .flag(p.visible)
-            .fixed(p.avg_fps, 2)
-            .int(p.dropped_frames.into())
-            .int(p.frames.into())
-            .fixed(d.d_wait.as_millis_f64(), 3)
-            .fixed(d.d_open.as_millis_f64(), 3)
-            .fixed(d.d_read.as_millis_f64(), 3)
-            .fixed(d.d_backend.as_millis_f64(), 3)
-            .text(match d.cache {
-                CacheOutcome::RamHit => "ram",
-                CacheOutcome::DiskHit => "disk",
-                CacheOutcome::Miss => "miss",
-            })
-            .flag(d.retry_fired)
-            .int(d.size_bytes)
-            .int(d.segments.into())
-            .int(d.retx_segments.into())
-            .fixed(tcp.map(|t| t.srtt.as_millis_f64()).unwrap_or(f64::NAN), 3)
-            .fixed(tcp.map(|t| t.rttvar.as_millis_f64()).unwrap_or(f64::NAN), 3)
-            .int(tcp.map(|t| t.cwnd).unwrap_or(0).into())
-            .fixed(p.truth.dds.as_millis_f64(), 3)
-            .fixed(p.truth.rtt0.as_millis_f64(), 3)
-            .flag(p.truth.transient_buffered);
-        w.write_all(row.end())?;
+        writeln!(
+            w,
+            "{},{},{},{:.6},{:.3},{:.3},{:.3},{:.4},{},{:.3},{},{:.2},{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{},{:.3},{:.3},{},{:.3},{:.3},{}",
+            p.session.raw(),
+            p.chunk.raw(),
+            p.bitrate_kbps,
+            Fixed(p.requested_at.as_secs_f64()),
+            Fixed(p.d_fb.as_millis_f64()),
+            Fixed(p.d_lb.as_millis_f64()),
+            Fixed(p.chunk_secs),
+            Fixed(p.perf_score()),
+            p.buf_count,
+            Fixed(p.buf_dur.as_secs_f64()),
+            p.visible,
+            Fixed(p.avg_fps),
+            p.dropped_frames,
+            p.frames,
+            Fixed(d.d_wait.as_millis_f64()),
+            Fixed(d.d_open.as_millis_f64()),
+            Fixed(d.d_read.as_millis_f64()),
+            Fixed(d.d_backend.as_millis_f64()),
+            match d.cache {
+                crate::records::CacheOutcome::RamHit => "ram",
+                crate::records::CacheOutcome::DiskHit => "disk",
+                crate::records::CacheOutcome::Miss => "miss",
+            },
+            d.retry_fired,
+            d.size_bytes,
+            d.segments,
+            d.retx_segments,
+            Fixed(tcp.map(|t| t.srtt.as_millis_f64()).unwrap_or(f64::NAN)),
+            Fixed(tcp.map(|t| t.rttvar.as_millis_f64()).unwrap_or(f64::NAN)),
+            tcp.map(|t| t.cwnd).unwrap_or(0),
+            Fixed(p.truth.dds.as_millis_f64()),
+            Fixed(p.truth.rtt0.as_millis_f64()),
+            p.truth.transient_buffered,
+        )?;
     }
     Ok(())
 }
@@ -210,35 +160,36 @@ retx_rate,loss_free,rebuffer_rate_pct,gpu,visible,proxied";
 
 /// Write one row per session.
 pub fn write_sessions_csv<W: Write>(ds: &Dataset, mut w: W) -> io::Result<()> {
-    let mut row = Row::default();
-    w.write_all(row.text(SESSION_CSV_HEADER).end())?;
+    writeln!(w, "{SESSION_CSV_HEADER}")?;
     for s in &ds.sessions {
         let m = &s.meta;
-        row.clear()
-            .int(m.session.raw())
-            .int(m.prefix.raw())
-            .int(m.video.raw())
-            .fixed(m.video_secs, 1)
-            .text(m.os.label())
-            .text(m.browser.label())
-            .quoted(&m.org)
-            .debug(m.org_kind)
-            .debug(m.access)
-            .flag(m.region.is_us())
-            .int(m.pop.raw())
-            .int(m.server.raw())
-            .fixed(m.distance_km, 1)
-            .fixed(m.arrival.as_secs_f64(), 3)
-            .fixed(m.startup_delay_s, 3)
-            .int(s.chunks.len() as u64)
-            .fixed(s.avg_bitrate_kbps(), 0)
-            .fixed(s.retx_rate(), 5)
-            .flag(s.loss_free())
-            .fixed(s.rebuffer_rate_pct(), 3)
-            .flag(m.gpu)
-            .flag(m.visible)
-            .flag(m.proxied);
-        w.write_all(row.end())?;
+        writeln!(
+            w,
+            "{},{},{},{:.1},{},{},{},{:?},{:?},{},{},{},{:.1},{:.3},{:.3},{},{:.0},{:.5},{},{:.3},{},{},{}",
+            m.session.raw(),
+            m.prefix.raw(),
+            m.video.raw(),
+            Fixed(m.video_secs),
+            m.os.label(),
+            m.browser.label(),
+            csv_quote(&m.org),
+            m.org_kind,
+            m.access,
+            m.region.is_us(),
+            m.pop.raw(),
+            m.server.raw(),
+            Fixed(m.distance_km),
+            Fixed(m.arrival.as_secs_f64()),
+            Fixed(m.startup_delay_s),
+            s.chunks.len(),
+            Fixed(s.avg_bitrate_kbps()),
+            Fixed(s.retx_rate()),
+            s.loss_free(),
+            Fixed(s.rebuffer_rate_pct()),
+            m.gpu,
+            m.visible,
+            m.proxied,
+        )?;
     }
     Ok(())
 }
@@ -351,7 +302,7 @@ mod tests {
         assert!(text.contains("\"Org \"\"quoted\"\", Inc 0\""));
     }
 
-    /// `Row::fixed` against `format!` on every input class the fast path
+    /// [`Fixed`] against `format!` on every input class the fast path
     /// must get right or refuse.
     #[test]
     fn fixed_matches_format_at_every_precision() {
@@ -396,7 +347,6 @@ mod tests {
         let mut fast = 0usize;
         let mut checked = 0usize;
         let mut mismatches = Vec::new();
-        let mut row = Row::default();
         for (prec, &scale) in POW10.iter().enumerate() {
             let mut values = shared.clone();
             for k in 0..2_000u64 {
@@ -415,13 +365,12 @@ mod tests {
             values.extend([limit, below(limit), above(limit), 2.0 * limit, 1e300]);
 
             for &v in &values {
-                row.clear().fixed(v, prec);
-                let ours = &row.0[..row.0.len() - 1];
+                let ours = format!("{:.prec$}", Fixed(v));
                 let want = format!("{v:.prec$}");
                 checked += 1;
                 fast += usize::from(fixed_digits(v, prec).is_some());
-                if ours != want.as_bytes() {
-                    mismatches.push((v, prec, String::from_utf8_lossy(ours).into_owned(), want));
+                if ours != want {
+                    mismatches.push((v, prec, ours, want));
                 }
             }
         }
