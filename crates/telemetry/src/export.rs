@@ -5,16 +5,12 @@
 //! controlled identifiers, except the organization name, which is quoted
 //! and escaped per RFC 4180. Every float is wrapped in `Fixed`, which
 //! writes exactly the bytes `{:.p$}` writes for the precisions the files
-//! use (`p` ≤ 6) without `format!`'s exact decimal conversion whenever
-//! one product settles the digits. When `v` is finite and non-negative,
-//! and its scaled value `s = v·10^p` is below 2^52 and farther than
-//! `s·ε` from a half-integer, the product's one rounding error cannot
-//! carry `s` across a rounding boundary. So `round(s)`, printed with its
-//! decimal point `p` digits from the right, is the correctly rounded
-//! decimal `format!` prints. Everything else (ties and near-ties, NaN,
-//! ±inf, −0.0, negative and huge values) is written by `f64`'s own
-//! `Display`, so no byte depends on which path a value took (DESIGN §13,
-//! "Exact fixed-precision export").
+//! use (`p` ≤ 6) but skips `format!`'s exact decimal conversion whenever
+//! one `f64` product settles the digits (`fixed_digits` gives the
+//! argument). Everything else (ties and near-ties, NaN, ±inf, −0.0,
+//! negative and huge values) is written by `f64`'s own `Display`, so no
+//! byte depends on which path a value took (DESIGN §13, "Exact
+//! fixed-precision export").
 
 use crate::dataset::Dataset;
 use std::fmt;
@@ -65,7 +61,7 @@ impl fmt::Display for Fixed {
         let settled = f
             .precision()
             .filter(|&p| p < POW10.len())
-            .and_then(|p| Some((fixed_digits(self.0, p)?, p)));
+            .and_then(|p| fixed_digits(self.0, p).map(|n| (n, p)));
         let Some((mut n, point)) = settled else {
             return fmt::Display::fmt(&self.0, f);
         };
