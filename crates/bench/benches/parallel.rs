@@ -130,12 +130,12 @@ fn small_cfg(threads: usize) -> SimulationConfig {
     cfg
 }
 
-/// The steal-or-stall workload: `small` with 75% of prefixes pinned to
-/// one metro, so one PoP carries the bulk of the sessions. Under the old
-/// fixed slot-claiming this scenario flatlined past 2 threads (the hot
-/// PoP was one indivisible shard); per-server shards plus work stealing
-/// let idle workers drain the hot PoP's tail, which is exactly what this
-/// group exists to measure.
+/// The hot-PoP workload: `small` with 75% of prefixes pinned to one
+/// metro, so one PoP carries the bulk of the sessions. Under per-PoP
+/// shards claimed in id order this scenario flatlined past 2 threads (the
+/// hot PoP was one indivisible shard); per-server shards claimed largest
+/// first spread the hot PoP's servers over every worker, which is exactly
+/// what this group exists to measure.
 fn skewed_cfg(threads: usize) -> SimulationConfig {
     let mut cfg = SimulationConfig::small(2016);
     cfg.traffic.sessions = 6_000;
@@ -166,8 +166,8 @@ fn bench_parallel(
 ) {
     // `small/8` exists because CI's scaling gate judges near-linear speedup
     // through 4 threads and wants the curve past the knee on record;
-    // `skewed` only needs enough points to show stealing beats the worst
-    // PoP imbalance.
+    // `skewed` only needs enough points to show the largest-first claim
+    // order absorbs the worst PoP imbalance.
     let scenarios: [(&str, ScenarioFn, &[usize]); 3] = [
         ("tiny", tiny_cfg, &[1, 2, 4]),
         ("small", small_cfg, &[1, 2, 4, 8]),

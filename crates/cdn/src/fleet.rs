@@ -248,8 +248,8 @@ impl CdnFleet {
     /// `coarse` become one whole-PoP shard each (sessions there may fail
     /// over between member servers, so the members must stay together);
     /// every other PoP is split one-shard-per-server — the fine
-    /// granularity that lets a work-stealing scheduler balance a skewed
-    /// session distribution.
+    /// granularity that lets the engine's largest-first scheduler balance
+    /// a skewed session distribution.
     ///
     /// Shards come out in canonical order: ascending PoP index, then
     /// ascending global server index within a split PoP. PoPs with no

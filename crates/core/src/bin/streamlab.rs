@@ -30,9 +30,9 @@
 //!          --threads N                  (default: 1; worker threads for
 //!                                        the engine, which runs one event
 //!                                        loop per server — per PoP under
-//!                                        failure faults — with work
-//!                                        stealing; output is identical
-//!                                        at any thread count)
+//!                                        failure faults — claiming the
+//!                                        largest shard left; output is
+//!                                        identical at any thread count)
 //!          --shard-deadline SECS        (watchdog: cancel a shard that
 //!                                        makes no progress for SECS wall
 //!                                        seconds and keep the rest)
@@ -246,12 +246,15 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                 opts.days_given = true;
             }
             "--seeds" => {
-                opts.seeds = Some(
-                    it.next()
-                        .ok_or("--seeds needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad seeds: {e}"))?,
-                );
+                let n: usize = it
+                    .next()
+                    .ok_or("--seeds needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad seeds: {e}"))?;
+                if n == 0 {
+                    return Err("--seeds must be at least 1".into());
+                }
+                opts.seeds = Some(n);
             }
             "--threads" => {
                 opts.threads = it
@@ -868,9 +871,6 @@ fn print_reply(body: &serde_json::Value) {
 fn cmd_submit(opts: &Opts) -> Result<(), String> {
     let cfg = config(opts)?;
     let n_seeds = opts.seeds.unwrap_or(5);
-    if n_seeds == 0 {
-        return Err("--seeds must be at least 1".into());
-    }
     let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| opts.seed + i).collect();
     let label = opts
         .label

@@ -87,8 +87,9 @@ pub struct SimulationConfig {
     /// loop per fleet shard — per *server* wherever the fault scenario
     /// cannot reject requests (no failover possible there), per PoP
     /// where it can — across this many workers (`0` and `1` both mean
-    /// one) with work stealing, so idle workers drain the tail of a
-    /// skewed PoP. Output is bit-identical at every thread count
+    /// one), each claiming the largest shard left, so a skewed PoP's
+    /// servers spread over every worker. Output is bit-identical at every
+    /// thread count
     /// (sessions never touch servers outside their shard, and results
     /// join in canonical shard order), so this is purely a wall-clock
     /// knob.

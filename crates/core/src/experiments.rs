@@ -121,7 +121,7 @@ pub fn run_experiment(id: ExperimentId, out: &RunOutput) -> ExperimentResult {
         }
         ExperimentId::Fig04 => {
             let s = cdn::fig04(ds);
-            (binned_table(&s, "server_ms", "startup_s"), json!(s))
+            (binned_table(&s, "server_ms"), json!(s))
         }
         ExperimentId::Fig05 => {
             let series = cdn::fig05(ds, points);
@@ -143,7 +143,7 @@ pub fn run_experiment(id: ExperimentId, out: &RunOutput) -> ExperimentResult {
         }
         ExperimentId::Fig07 => {
             let s = network::fig07(ds);
-            (binned_table(&s, "srtt_ms", "startup_s"), json!(s))
+            (binned_table(&s, "srtt_ms"), json!(s))
         }
         ExperimentId::Fig08 => {
             let (mins, sigmas) = network::fig08(ds, points);
@@ -205,7 +205,7 @@ pub fn run_experiment(id: ExperimentId, out: &RunOutput) -> ExperimentResult {
         }
         ExperimentId::Fig12 => {
             let s = network::fig12(ds);
-            (binned_table(&s, "retx_%", "rebuf_%"), json!(s))
+            (binned_table(&s, "retx_%"), json!(s))
         }
         ExperimentId::Fig13 => match network::fig13(ds) {
             Some(f) => {
@@ -246,7 +246,7 @@ pub fn run_experiment(id: ExperimentId, out: &RunOutput) -> ExperimentResult {
         }
         ExperimentId::Fig15 => {
             let s = network::fig15(ds, 19);
-            (binned_table(&s, "chunk_id", "retx_%"), json!(s))
+            (binned_table(&s, "chunk_id"), json!(s))
         }
         ExperimentId::Fig16 => {
             let f = network::fig16(ds, points);
@@ -296,7 +296,7 @@ pub fn run_experiment(id: ExperimentId, out: &RunOutput) -> ExperimentResult {
             let text = format!(
                 "hardware rendering mean drop: {:.2}%\n{}",
                 f.hardware_mean_pct,
-                binned_table(&f.by_rate, "rate_s/s", "dropped_%")
+                binned_table(&f.by_rate, "rate_s/s")
             );
             (text, json!(f))
         }

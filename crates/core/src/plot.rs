@@ -2,8 +2,10 @@
 //! every figure can be rendered visually with stock gnuplot
 //! (`gnuplot figNN.gp` → `figNN.png`).
 //!
-//! The emitters work off the same typed rows the experiment registry
-//! produces; nothing is re-computed.
+//! The emitters use the same figure functions as the experiment registry,
+//! but [`emit_all`] calls them again rather than reading the exhibits'
+//! results: each of its figures is recomputed from the run, and its CDFs
+//! are sampled at 300 points where the exhibits use 200.
 
 use crate::simulate::RunOutput;
 use std::fmt::Write as _;

@@ -43,12 +43,11 @@ pub fn ccdf_line(s: &CdfSeries) -> String {
 
 /// Render a binned series as an aligned table: one row per bin with mean,
 /// median and IQR — the same numbers the paper's error-bar plots carry.
-pub fn binned_table(series: &BinnedSeries, x_label: &str, y_label: &str) -> String {
+pub fn binned_table(series: &BinnedSeries, x_label: &str) -> String {
     let mut out = format!(
         "{:>12} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
         x_label, "n", "mean", "median", "q25", "q75"
     );
-    let _ = y_label;
     for b in &series.bins {
         out.push_str(&format!(
             "{:>12.2} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
@@ -146,7 +145,7 @@ mod tests {
     fn binned_table_renders_rows() {
         let pairs: Vec<(f64, f64)> = (0..20).map(|i| (f64::from(i), 2.0)).collect();
         let series = BinnedSeries::fixed_width(&pairs, 0.0, 20.0, 4);
-        let t = binned_table(&series, "x", "y");
+        let t = binned_table(&series, "x");
         assert_eq!(t.lines().count(), 5); // header + 4 bins
         assert!(t.contains("mean"));
     }

@@ -7,15 +7,16 @@
 //! cannot make requests fail (so no session can ever fail over off its
 //! server), falling back to one per PoP where it can — sessions are
 //! partitioned by the shard owning their assigned server, and one
-//! independent event loop runs per shard across a work-stealing pool of
-//! `threads` workers ([`crate::scheduler::WorkQueue`]). Because a session
-//! only ever touches servers inside its own shard and the telemetry join
-//! canonicalizes by session id, the output is **bit-identical** at any
-//! thread count — and to one event loop over the whole fleet, which the
-//! tests keep as their oracle. See DESIGN.md §9 for the full argument.
+//! independent event loop runs per shard across `threads` workers that
+//! claim the shards largest first ([`crate::scheduler::JobQueue`]).
+//! Because a session only ever touches servers inside its own shard and
+//! the telemetry join canonicalizes by session id, the output is
+//! **bit-identical** at any thread count — and to one event loop over the
+//! whole fleet, which the tests keep as their oracle. See DESIGN.md §9 for
+//! the full argument.
 
 use crate::config::SimulationConfig;
-use crate::scheduler::{effective_workers, StealEvent, WorkQueue};
+use crate::scheduler::{effective_workers, JobQueue};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -25,7 +26,7 @@ use streamlab_cdn::{CdnFleet, FleetShard, ServerPool, TierChurn};
 use streamlab_obs::{
     canonicalize, Meta, MetricsRecorder, NoopSubscriber, ProgressCell, RunMetrics, RunProfile,
     SchedulerCounters, ShardMerge, ShardProfile, ShardStalled, SimMetrics, SimSpan, Subscriber,
-    WallCounter, WallInstant, WallSpan, WallTrace,
+    WallCounter, WallSpan, WallTrace,
 };
 use streamlab_sim::{EventQueue, RngStream, SimTime};
 use streamlab_supervisor::watchdog::{self, WatchdogConfig};
@@ -261,8 +262,8 @@ pub struct RunOutput {
     /// [`ObsOptions::spans`]). Byte-identical at any `--threads`.
     pub sim_spans: Option<Vec<SimSpan>>,
     /// Wall-clock engine trace — run phases, per-worker shard job lanes,
-    /// steal instants, watchdog heartbeat counters. `None` unless the run
-    /// was observed; inherently non-deterministic.
+    /// watchdog heartbeat counters. `None` unless the run was observed;
+    /// inherently non-deterministic.
     pub wall_trace: Option<WallTrace>,
     /// Shards whose worker panicked (sharded engine only). Their sessions
     /// are missing from the dataset; everything else is intact. Empty on
@@ -992,8 +993,7 @@ struct ShardRun<S> {
     n_servers: usize,
     sessions: u64,
     wall_ms: f64,
-    /// Worker thread that ran the job (a steal lands it elsewhere than
-    /// the deal chose).
+    /// Worker thread that claimed the job.
     worker: usize,
     /// Job start, ms after the event-loop epoch.
     start_ms: f64,
@@ -1002,24 +1002,22 @@ struct ShardRun<S> {
 }
 
 /// Wall-clock engine observations from one sharded run — scheduler
-/// counters, the timestamped steal log, and watchdog heartbeat samples,
-/// all measured against the event-loop epoch passed to [`run_sharded`].
-/// Feeds [`RunProfile::scheduler`] and the `--trace-out` engine lanes;
-/// never the deterministic metrics.
+/// counters and watchdog heartbeat samples, the samples measured against
+/// the event-loop epoch passed to [`run_sharded`]. Feeds
+/// [`RunProfile::scheduler`] and the `--trace-out` engine lanes; never
+/// the deterministic metrics.
 #[derive(Default)]
 struct EngineWall {
     scheduler: SchedulerCounters,
-    steals: Vec<StealEvent>,
     heartbeats: Vec<streamlab_supervisor::HeartbeatSample>,
 }
 
 /// Assemble the Chrome-trace wall-clock lanes for one observed run: a
 /// `run` lane with the setup / event loop / merge phases, one lane per
-/// worker carrying its shard jobs as complete events plus steal
-/// instants, and the watchdog's heartbeat samples as counter series.
-/// All timestamps are µs from setup start; shard/steal/heartbeat times
-/// are measured from the event-loop epoch, so they are shifted by
-/// `setup_ms` onto the shared timeline.
+/// worker carrying its shard jobs as complete events, and the watchdog's
+/// heartbeat samples as counter series. All timestamps are µs from setup
+/// start; shard and heartbeat times are measured from the event-loop
+/// epoch, so they are shifted by `setup_ms` onto the shared timeline.
 fn build_wall_trace(profile: &RunProfile, wall: &EngineWall) -> WallTrace {
     let us = |ms: f64| (ms.max(0.0) * 1.0e3) as u64;
     let loop_us = |ms: f64| us(profile.setup_ms + ms);
@@ -1027,7 +1025,6 @@ fn build_wall_trace(profile: &RunProfile, wall: &EngineWall) -> WallTrace {
         .shards
         .iter()
         .map(|s| s.worker + 1)
-        .chain(wall.steals.iter().map(|s| s.thief as u64 + 1))
         .max()
         .unwrap_or(0);
     let run_lane = n_workers;
@@ -1070,14 +1067,6 @@ fn build_wall_trace(profile: &RunProfile, wall: &EngineWall) -> WallTrace {
             ],
         });
     }
-    for st in &wall.steals {
-        t.instants.push(WallInstant {
-            lane: st.thief as u64,
-            name: "steal".to_owned(),
-            at_us: loop_us(st.at_ms),
-            args: vec![("job".to_owned(), st.job as u64)],
-        });
-    }
     for hb in &wall.heartbeats {
         t.counters.push(WallCounter {
             name: "heartbeat events".to_owned(),
@@ -1102,10 +1091,11 @@ fn fold_cache_churn(sim: &mut SimMetrics, churn: &[TierChurn]) {
 
 /// The engine: sessions partitioned by the shard owning their assigned
 /// server, one independent event loop per [`FleetShard`], run across
-/// `threads` workers (one at `threads <= 1`) by a work-stealing
-/// [`WorkQueue`]. Each shard's telemetry goes to its own output, made by
-/// `make_out` from the canonical shard index and the shard's sessions.
-/// Returns the surviving shards' outputs in canonical shard order.
+/// `threads` workers (one at `threads <= 1`) that claim the shards
+/// largest first from one [`JobQueue`]. Each shard's telemetry goes to
+/// its own output, made by `make_out` from the canonical shard index and
+/// the shard's sessions. Returns the surviving shards' outputs in
+/// canonical shard order.
 ///
 /// Shards are per **server** wherever `coarse` permits (see
 /// [`coarse_pop_plan`]) and per PoP elsewhere, so a skewed session
@@ -1173,8 +1163,8 @@ where
     for s in sessions {
         by_shard[shard_of_server[s.server_idx]].push(s);
     }
-    // Static cost estimate for the LPT deal: one event per chunk watched,
-    // plus one so empty shards still spread. The estimate only shapes the
+    // Static cost estimate for the LPT order: one event per chunk
+    // watched, plus one per session. The estimate only shapes the
     // schedule, never the results.
     let costs: Vec<u64> = by_shard
         .iter()
@@ -1198,16 +1188,16 @@ where
         .map(|(slot, (_, _, cell))| (slot, cell.clone()))
         .collect();
 
-    // Workers drain a work-stealing deque: each starts on its own LPT-
-    // dealt share and steals from the tail of loaded peers once dry, so
-    // idle workers absorb a large PoP's per-server shards instead of
-    // waiting. Each job's result lands in its own pre-allocated slot;
-    // slot `i` belongs to the `i`-th shard of `split_shards_with`
-    // (canonical order), so the results come out of the scope already
-    // ordered — which worker ran which shard when never reaches the
-    // output. A panic inside a shard job is caught below, so these locks
-    // are never actually poisoned — `into_inner` recovery is belt-and-
-    // braces against panics in the bookkeeping itself.
+    // Workers claim jobs largest first through one cursor, so whichever
+    // worker goes idle takes the largest shard left and a large PoP's
+    // per-server shards spread over every worker. Each job's result lands
+    // in its own pre-allocated slot; slot `i` belongs to the `i`-th shard
+    // of `split_shards_with` (canonical order), so the results come out
+    // of the scope already ordered — which worker ran which shard when
+    // never reaches the output. A panic inside a shard job is caught
+    // below, so these locks are never actually poisoned — `into_inner`
+    // recovery is belt-and-braces against panics in the bookkeeping
+    // itself.
     type Job = (FleetShard, Vec<PlacedSession>, Arc<ProgressCell>);
     type ShardResult<S, O> = (FleetShard, Option<(O, ShardRun<S>)>, Option<ShardError>);
     let jobs: Vec<Mutex<Option<Job>>> = work.into_iter().map(|j| Mutex::new(Some(j))).collect();
@@ -1220,7 +1210,7 @@ where
     // results are slot-indexed, so output is unaffected.
     let requested = threads.min(n_jobs).max(1);
     let workers = effective_workers(threads, n_jobs, &costs);
-    let queue = WorkQueue::deal(workers, &costs);
+    let queue = JobQueue::lpt(&costs);
     let heartbeat_log: Mutex<Vec<streamlab_supervisor::HeartbeatSample>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         // The watchdog joins on its own: workers mark their cell Done in
@@ -1241,7 +1231,7 @@ where
         for w in 0..workers {
             let (queue, jobs, slots, make_sub) = (&queue, &jobs, &slots, &make_sub);
             scope.spawn(move || {
-                while let Some(i) = queue.pop(w) {
+                while let Some(i) = queue.claim() {
                     let job = jobs[i].lock().unwrap_or_else(|e| e.into_inner()).take();
                     let Some((mut shard, sessions, cell)) = job else {
                         continue;
@@ -1358,22 +1348,13 @@ where
                 .expect("every shard job is claimed and resolved exactly once")
         })
         .collect();
-    // Wall-clock flight recorder: the queue's steal log is timestamped
-    // against its own epoch (the deal, a hair after `epoch`), so shift it
-    // onto the caller's timeline before the queue drops.
-    let steal_shift_ms = queue.epoch().saturating_duration_since(epoch).as_secs_f64() * 1.0e3;
-    let mut scheduler = queue.counters();
-    scheduler.workers_clamped = (requested - workers) as u64;
     let engine_wall = EngineWall {
-        scheduler,
-        steals: queue
-            .steal_events()
-            .into_iter()
-            .map(|mut s| {
-                s.at_ms += steal_shift_ms;
-                s
-            })
-            .collect(),
+        scheduler: SchedulerCounters {
+            jobs_dealt: n_jobs as u64,
+            steals: 0,
+            workers: workers as u64,
+            workers_clamped: (requested - workers) as u64,
+        },
         heartbeats: heartbeat_log
             .into_inner()
             .unwrap_or_else(|e| e.into_inner()),

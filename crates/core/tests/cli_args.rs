@@ -1,6 +1,7 @@
 //! The CLI's argument checks: `--help`/`-h` print the usage and run
-//! nothing; an unknown option or a stray positional argument is an error
-//! (exit 1, with the usage) and runs nothing either.
+//! nothing; an unknown option, a stray positional argument or a zero
+//! `--seeds` is an error (exit 1, with the usage) and runs nothing
+//! either.
 
 use std::fs;
 use std::path::PathBuf;
@@ -91,5 +92,19 @@ fn stray_positional_argument_is_rejected() {
         "stray-experiment",
         &["experiment", "Fig05", "Fig06"],
         "unexpected argument 'Fig06'",
+    );
+}
+
+#[test]
+fn zero_seeds_is_rejected() {
+    rejected(
+        "zero-seeds-sweep",
+        &["sweep", "--scale", "tiny", "--seeds", "0"],
+        "--seeds must be at least 1",
+    );
+    rejected(
+        "zero-seeds-submit",
+        &["submit", "--scale", "tiny", "--seeds", "0"],
+        "--seeds must be at least 1",
     );
 }

@@ -74,6 +74,4 @@ pub use metrics::{Counter, Gauge, LogLinearHistogram, SimMetrics};
 pub use profile::{RunMetrics, RunProfile, SchedulerCounters, ShardProfile};
 pub use recorder::MetricsRecorder;
 pub use span::{canonicalize, SimSpan, SpanKind};
-pub use trace_writer::{
-    render_chrome_trace, WallCounter, WallInstant, WallSpan, WallTrace, SIM_PID, WALL_PID,
-};
+pub use trace_writer::{render_chrome_trace, WallCounter, WallSpan, WallTrace, SIM_PID, WALL_PID};

@@ -80,15 +80,12 @@ pub fn render(sim: &SimMetrics, profile: Option<&RunProfile>) -> String {
         let s = &p.scheduler;
         for (name, v) in [
             ("sched_jobs_dealt", s.jobs_dealt),
-            ("sched_owner_pops", s.owner_pops),
-            ("sched_steals", s.steals),
-            ("sched_steal_failures", s.steal_failures),
             ("sched_workers", s.workers),
             ("sched_workers_clamped", s.workers_clamped),
         ] {
             let _ = writeln!(
                 out,
-                "# HELP {PREFIX}_{name} work-stealing scheduler; timing-dependent"
+                "# HELP {PREFIX}_{name} shard scheduler; timing-dependent"
             );
             let _ = writeln!(out, "# TYPE {PREFIX}_{name} counter");
             let _ = writeln!(out, "{PREFIX}_{name}_total {v}");
@@ -175,9 +172,7 @@ mod tests {
             peak_queue_depth: 9,
             scheduler: SchedulerCounters {
                 jobs_dealt: 12,
-                owner_pops: 10,
-                steals: 2,
-                steal_failures: 5,
+                steals: 0,
                 workers: 4,
                 workers_clamped: 0,
             },
@@ -185,7 +180,8 @@ mod tests {
         };
         let text = render(&sim, Some(&profile));
         assert!(text.contains("streamlab_run_info{engine=\"sharded\",threads=\"4\"} 1"));
-        assert!(text.contains("streamlab_sched_steals_total 2"));
+        assert!(text.contains("streamlab_sched_jobs_dealt_total 12"));
+        assert!(!text.contains("steal"));
         assert!(text.contains("non-deterministic"));
         let eof_at = text.find("# EOF").expect("terminator");
         assert_eq!(eof_at + 6, text.len(), "# EOF must be last");

@@ -32,30 +32,27 @@ pub struct ShardProfile {
     pub peak_queue_depth: u64,
     /// Wall time the shard's event loop took, milliseconds.
     pub wall_ms: f64,
-    /// Worker thread that ran the shard job (a steal lands a job on a
-    /// different worker than the deal chose).
+    /// Worker thread that claimed the shard job: whichever worker was
+    /// idle when the job came up in the largest-first claim order.
     pub worker: u64,
     /// Job start, milliseconds after the engine's event-loop epoch — with
     /// `wall_ms` this places the job on its worker's trace lane.
     pub start_ms: f64,
 }
 
-/// Work-stealing queue counters for one run: how jobs moved between
-/// workers. Timing-dependent (steals happen when a worker goes idle
-/// first), so these live on the wall-clock side, never in
-/// [`SimMetrics`].
+/// Shard scheduler facts for one run: how many jobs the workers claimed
+/// largest first from one cursor, and how many workers claimed them.
+/// They belong to the wall-clock side with the rest of the profile,
+/// never in [`SimMetrics`].
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct SchedulerCounters {
-    /// Jobs dealt across the worker deques (the LPT assignment size).
+    /// Shard jobs in the claim order (one per shard).
     pub jobs_dealt: u64,
-    /// Jobs a worker popped from its own deque.
-    pub owner_pops: u64,
-    /// Jobs stolen from another worker's deque.
+    /// Always 0: workers claim jobs from one shared cursor, so no job is
+    /// ever taken from another worker. Kept because perfbench's tracer
+    /// still reads it (as `core.scheduler.steals`).
     pub steals: u64,
-    /// Steal scans that found every deque empty.
-    pub steal_failures: u64,
-    /// Worker deques actually spun up (after the per-worker cost-floor
-    /// clamp).
+    /// Workers actually spun up (after the per-worker cost-floor clamp).
     pub workers: u64,
     /// Workers the cost-floor clamp removed relative to the requested
     /// thread count: non-zero means the fleet was too small to feed every
@@ -86,7 +83,7 @@ pub struct RunProfile {
     pub events_per_sec: f64,
     /// Peak pending-event count: the maximum over shards.
     pub peak_queue_depth: u64,
-    /// Work-stealing scheduler counters.
+    /// Shard scheduler counters: jobs, workers and the clamp.
     pub scheduler: SchedulerCounters,
     /// Per-shard breakdown, in canonical shard order.
     pub shards: Vec<ShardProfile>,
@@ -241,9 +238,7 @@ mod tests {
                 peak_queue_depth: 77,
                 scheduler: SchedulerCounters {
                     jobs_dealt: 2,
-                    owner_pops: 1,
-                    steals: 1,
-                    steal_failures: 3,
+                    steals: 0,
                     workers: 2,
                     workers_clamped: 0,
                 },

@@ -5,10 +5,10 @@
 //! thread lane per session, `B`/`E` duration events built from
 //! [`SimSpan`]s); process 2 carries the **wall-clock** engine lanes (one
 //! lane per worker thread, `X` complete events for shard jobs plus
-//! instant and counter events from a [`WallTrace`]). Keeping the clocks
-//! in separate processes means neither can contaminate the other: the
-//! sim side is byte-identical at any `--threads`, the wall side is
-//! honest about being a measurement.
+//! counter events from a [`WallTrace`]). Keeping the clocks in separate
+//! processes means neither can contaminate the other: the sim side is
+//! byte-identical at any `--threads`, the wall side is honest about being
+//! a measurement.
 //!
 //! Timestamps are microseconds (the format's unit): sim-time nanoseconds
 //! and engine milliseconds both convert losslessly enough at trace
@@ -39,20 +39,6 @@ pub struct WallSpan {
     pub args: Vec<(String, u64)>,
 }
 
-/// One wall-clock instant (a steal, a watchdog cancellation), rendered
-/// as a Chrome `i` instant event.
-#[derive(Debug, Clone)]
-pub struct WallInstant {
-    /// Lane (trace thread id) the instant belongs to.
-    pub lane: u64,
-    /// Event name.
-    pub name: String,
-    /// When, microseconds since the engine epoch.
-    pub at_us: u64,
-    /// Extra key/value payload.
-    pub args: Vec<(String, u64)>,
-}
-
 /// One sample of a wall-clock counter series (watchdog heartbeats),
 /// rendered as a Chrome `C` counter event.
 #[derive(Debug, Clone)]
@@ -72,8 +58,6 @@ pub struct WallTrace {
     pub lanes: Vec<(u64, String)>,
     /// Intervals (shard jobs, run phases).
     pub spans: Vec<WallSpan>,
-    /// Point events (steals, cancellations).
-    pub instants: Vec<WallInstant>,
     /// Counter samples (heartbeats).
     pub counters: Vec<WallCounter>,
 }
@@ -199,12 +183,6 @@ pub fn render_chrome_trace(sim: &[SimSpan], wall: Option<&WallTrace>) -> String 
             e.insert("args".into(), args_object(&s.args));
             out.push(Value::Object(e).to_json_string());
         }
-        for inst in &w.instants {
-            let mut e = base_event(&inst.name, "engine", "i", inst.at_us, WALL_PID, inst.lane);
-            e.insert("s".into(), "t".to_value());
-            e.insert("args".into(), args_object(&inst.args));
-            out.push(Value::Object(e).to_json_string());
-        }
         for c in &w.counters {
             let mut e = base_event(&c.name, "engine", "C", c.at_us, WALL_PID, 0);
             e.insert("args".into(), args_object(&c.series));
@@ -287,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_trace_renders_slices_instants_and_counters() {
+    fn wall_trace_renders_slices_and_counters() {
         let wall = WallTrace {
             lanes: vec![(0, "worker 0".into()), (9, "run".into())],
             spans: vec![WallSpan {
@@ -296,12 +274,6 @@ mod tests {
                 start_us: 100,
                 dur_us: 900,
                 args: vec![("events".into(), 1234)],
-            }],
-            instants: vec![WallInstant {
-                lane: 0,
-                name: "steal".into(),
-                at_us: 150,
-                args: vec![("job".into(), 3)],
             }],
             counters: vec![WallCounter {
                 name: "heartbeat events".into(),
@@ -315,9 +287,7 @@ mod tests {
             .iter()
             .filter_map(|e| e.get("ph").and_then(|p| p.as_str()))
             .collect();
-        assert!(phases.contains(&"X"));
-        assert!(phases.contains(&"i"));
-        assert!(phases.contains(&"C"));
+        assert_eq!(phases, ["M", "M", "M", "M", "X", "C"]);
         assert!(text.contains("worker 0"));
         assert!(text.contains("\"dur\":900"));
     }

@@ -32,9 +32,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use streamlab_supervisor::{
-    ambient_storage, atomic_write_in, sweep_stale_staging_in, Storage, StorageOps,
-};
+use streamlab_supervisor::{ambient_storage, atomic_write_in, sweep_stale_staging_in, Storage};
 
 /// File name of the per-job manifest inside its job directory.
 pub const MANIFEST_FILE: &str = "job.json";

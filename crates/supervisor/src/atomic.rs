@@ -26,7 +26,7 @@
 //! plan), while the `*_in` variants take an explicit handle so tests can
 //! inject faults without sharing global state.
 
-use crate::failpoint::{ambient_storage, Storage, StorageOps};
+use crate::failpoint::{ambient_storage, Storage};
 use std::fs;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -180,7 +180,7 @@ pub fn atomic_write_in(storage: &Storage, path: &Path, bytes: &[u8]) -> io::Resu
 /// Atomically replace `path` with whatever `write` produces.
 ///
 /// The closure receives a writer over the staging file behind one 64 KiB
-/// buffer, which is flushed inside the [`StorageOps::write`] stage: a
+/// buffer, which is flushed inside the [`Storage::write`] stage: a
 /// flush error is a [`WriteStage::Write`] failure, and torn-write faults
 /// and the fsync see every byte. On success the file is fsynced and
 /// renamed over `path`, and the parent directory is fsynced so the

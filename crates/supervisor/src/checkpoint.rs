@@ -18,7 +18,7 @@
 //! incompatible results.
 
 use crate::atomic::{atomic_write_in, sweep_stale_staging_in};
-use crate::failpoint::{ambient_storage, Storage, StorageOps};
+use crate::failpoint::{ambient_storage, Storage};
 use crate::fingerprint::fingerprint_config;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;

@@ -10,10 +10,10 @@
 //! file, an fsync the kernel acknowledged but never performed. This
 //! module makes those failures deterministic and replayable:
 //!
-//! * [`StorageOps`] — the storage operations the persistence paths go
+//! * [`Storage`] — the storage operations the persistence paths go
 //!   through (create / write / fsync / rename / dir-fsync / read /
-//!   remove). [`Storage`] implements it; `atomic_write`, checkpoint run
-//!   directories, and the service registry route every byte through it.
+//!   remove); `atomic_write`, checkpoint run directories, and the
+//!   service registry route every byte through it.
 //! * [`StorageFaultPlan`] — a JSON-declared, seeded list of
 //!   [`FaultRule`]s, loaded from `--storage-faults FILE` and inert by
 //!   default (mirroring the session-level `--faults` scenario). Each
@@ -563,53 +563,24 @@ impl Storage {
     }
 }
 
-/// The storage operations every persistence path goes through — the
-/// supervisor's VFS seam. `atomic_write`, checkpoint run directories and
-/// the service registry call these instead of `std::fs`, so one
-/// [`StorageFaultPlan`] observes (and can fail) every create / write /
-/// fsync / rename / read they perform.
-pub trait StorageOps: Send + Sync {
+// The storage operations every persistence path goes through — the
+// supervisor's VFS seam. `atomic_write`, checkpoint run directories and
+// the service registry call these instead of `std::fs`, so one
+// [`StorageFaultPlan`] observes (and can fail) every create / write /
+// fsync / rename / read they perform.
+impl Storage {
     /// Create (truncating) the staging file `tmp` for target `target`.
     /// Fault rules match on the target path.
-    fn create(&self, target: &Path, tmp: &Path) -> io::Result<fs::File>;
+    pub fn create(&self, target: &Path, tmp: &Path) -> io::Result<fs::File> {
+        self.decide(StorageOp::Create, target)?;
+        fs::File::create(tmp)
+    }
 
     /// Run the caller's writer over the staging file. The writer runs
     /// at most once. A torn-write fault truncates the result and
     /// reports success — the protocol then publishes damage that a
     /// reader's fingerprint check must catch.
-    fn write(
-        &self,
-        target: &Path,
-        file: &mut fs::File,
-        writer: &mut dyn FnMut(&mut fs::File) -> io::Result<()>,
-    ) -> io::Result<()>;
-
-    /// Fsync the staging file for `target`. A lost-fsync fault reports
-    /// success without syncing.
-    fn sync_file(&self, target: &Path, file: &fs::File) -> io::Result<()>;
-
-    /// Rename `from` over `to` (fault rules match on `to`).
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-
-    /// Fsync directory `dir`, making a completed rename durable.
-    /// Platforms or filesystems that cannot fsync a directory report
-    /// success — the barrier is advisory there.
-    fn sync_dir(&self, dir: &Path) -> io::Result<()>;
-
-    /// Read `path` to a string.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
-
-    /// Remove `path`.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
-}
-
-impl StorageOps for Storage {
-    fn create(&self, target: &Path, tmp: &Path) -> io::Result<fs::File> {
-        self.decide(StorageOp::Create, target)?;
-        fs::File::create(tmp)
-    }
-
-    fn write(
+    pub fn write(
         &self,
         target: &Path,
         file: &mut fs::File,
@@ -626,19 +597,25 @@ impl StorageOps for Storage {
         Ok(())
     }
 
-    fn sync_file(&self, target: &Path, file: &fs::File) -> io::Result<()> {
+    /// Fsync the staging file for `target`. A lost-fsync fault reports
+    /// success without syncing.
+    pub fn sync_file(&self, target: &Path, file: &fs::File) -> io::Result<()> {
         match self.decide(StorageOp::Sync, target)? {
             Action::SkipSync => Ok(()),
             _ => file.sync_all(),
         }
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+    /// Rename `from` over `to` (fault rules match on `to`).
+    pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.decide(StorageOp::Rename, to)?;
         fs::rename(from, to)
     }
 
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+    /// Fsync directory `dir`, making a completed rename durable.
+    /// Platforms or filesystems that cannot fsync a directory report
+    /// success — the barrier is advisory there.
+    pub fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         if let Action::SkipSync = self.decide(StorageOp::SyncDir, dir)? {
             return Ok(());
         }
@@ -662,12 +639,14 @@ impl StorageOps for Storage {
         }
     }
 
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
+    /// Read `path` to a string.
+    pub fn read_to_string(&self, path: &Path) -> io::Result<String> {
         self.decide(StorageOp::Read, path)?;
         fs::read_to_string(path)
     }
 
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
+    /// Remove `path`.
+    pub fn remove_file(&self, path: &Path) -> io::Result<()> {
         self.decide(StorageOp::Remove, path)?;
         fs::remove_file(path)
     }

@@ -4,7 +4,7 @@
 //! Prints the same rows/series the paper's figures and tables report, and
 //! writes the raw rows as JSON to `target/paper_figures.json`.
 
-use streamlab::experiments::{full_report, run_experiment, ExperimentId};
+use streamlab::experiments::{render_report, run_all};
 use streamlab::{Simulation, SimulationConfig};
 
 fn main() {
@@ -19,14 +19,16 @@ fn main() {
         cfg.traffic.sessions, cfg.catalog.videos, cfg.fleet.servers
     );
     let out = Simulation::new(cfg).run().expect("simulation");
-    println!("{}", full_report(&out));
+    // Each exhibit runs once: the report and the JSON render from the
+    // same results.
+    let results = run_all(&out);
+    println!("{}", render_report(&results));
 
     // Raw rows as JSON for external plotting.
-    let mut all = serde_json::Map::new();
-    for &id in ExperimentId::all() {
-        let r = run_experiment(id, &out);
-        all.insert(format!("{id:?}"), r.json);
-    }
+    let all: serde_json::Map = results
+        .into_iter()
+        .map(|r| (format!("{:?}", r.id), r.json))
+        .collect();
     let path = "target/paper_figures.json";
     std::fs::write(path, serde_json::to_string_pretty(&all).unwrap()).expect("write json");
     eprintln!("raw rows written to {path}");
